@@ -40,27 +40,36 @@ def save_checkpoint(path: str | Path, model: GswinModel) -> None:
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a checkpoint back as name -> float32 array."""
+    """Read a checkpoint back as name -> float32 array.
+
+    A file that is not a checkpoint, or is cut short anywhere, raises
+    ``ValueError`` naming the path and the byte offset.
+    """
     blob = Path(path).read_bytes()
     if blob[:4] != MAGIC:
         raise ValueError(f"{path}: not a checkpoint (bad magic {blob[:4]!r})")
-    version, count = struct.unpack_from("<BI", blob, 4)
+    view = memoryview(blob)
+    off = 4
+
+    def read(nbytes: int, what: str) -> memoryview:
+        nonlocal off
+        if off + nbytes > len(blob):
+            raise ValueError(f"{path}: truncated at byte {len(blob)}: {what} needs "
+                             f"{nbytes} bytes from offset {off}")
+        off += nbytes
+        return view[off - nbytes:off]
+
+    version, count = struct.unpack("<BI", read(5, "header"))
     if version != VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    off = 9
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off:off + nlen].decode("utf-8")
-        off += nlen
-        (ndim,) = struct.unpack_from("<B", blob, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, off)
-        off += 4 * ndim
+        (nlen,) = struct.unpack("<H", read(2, "name length"))
+        name = bytes(read(nlen, "name")).decode("utf-8")
+        (ndim,) = struct.unpack("<B", read(1, f"{name} rank"))
+        shape = struct.unpack(f"<{ndim}I", read(4 * ndim, f"{name} shape"))
         n = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        out[name] = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(shape).copy()
-        off += 4 * n
+        out[name] = np.frombuffer(read(4 * n, f"{name} values"), dtype="<f4").reshape(shape).copy()
     if off != len(blob):
         raise ValueError(f"{path}: {len(blob) - off} trailing bytes")
     return out

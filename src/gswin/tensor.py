@@ -7,7 +7,7 @@ default; tests rely on 64-bit precision).
 """
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -138,6 +138,20 @@ class Tensor:
             raise ValueError(f"matmul requires >=2-d operands, got {a.shape} @ {b.shape}")
         if a.shape[-1] != b.shape[-2]:
             raise ValueError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
+        if b.ndim == 2:
+            # Fold a's leading axes into one (N, C) @ (C, D) GEMM: BLAS runs one
+            # large product far faster than a stack of small ones, and the
+            # weight gradient comes out whole, with no stacked temporary to sum.
+            C, D = b.shape
+            out_data = (a.data.reshape(-1, C) @ b.data).reshape(a.shape[:-1] + (D,))
+
+            def vjp(g):
+                # Reshape here, not in the forward: a non-contiguous ``a`` would
+                # otherwise keep a second copy alive until backward.
+                g2 = g.reshape(-1, D)
+                return (g2 @ b.data.T).reshape(a.shape), a.data.reshape(-1, C).T @ g2
+
+            return Tensor._result(out_data, (a, b), vjp)
         out_data = np.matmul(a.data, b.data)
 
         def vjp(g):
@@ -350,7 +364,3 @@ def backward(loss: Tensor) -> None:
                 continue
             acc = flowing.get(id(parent))
             flowing[id(parent)] = pg if acc is None else acc + pg
-
-
-def parameters_of(tensors: Iterable[Tensor]) -> list[Parameter]:
-    return [t for t in tensors if isinstance(t, Parameter)]

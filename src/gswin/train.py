@@ -16,7 +16,7 @@ import numpy as np
 
 from .checkpoint import save_checkpoint
 from .model import GswinModel
-from .tensor import Parameter, Tensor, backward, no_grad
+from .tensor import Parameter, Tensor, backward, no_grad, take
 
 
 @dataclass
@@ -77,14 +77,21 @@ def adamw_step(params: list[Parameter], grads: list[np.ndarray],
     for p, g, decay in zip(params, grads, decay_mask):
         if g.shape != p.shape:
             raise ValueError(f"{p.name}: gradient shape {g.shape} != param shape {p.shape}")
-        s = state.setdefault(p.name, {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data)})
+        if p.name not in state:
+            state[p.name] = {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data)}
+        m, v = state[p.name]["m"], state[p.name]["v"]
         if decay and config.weight_decay:
             p.data *= 1.0 - lr_t * config.weight_decay
-        s["m"] = ADAM_BETA1 * s["m"] + (1.0 - ADAM_BETA1) * g
-        s["v"] = ADAM_BETA2 * s["v"] + (1.0 - ADAM_BETA2) * (g * g)
-        mhat = s["m"] / b1c
-        vhat = s["v"] / b2c
-        p.data -= lr_t * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        # In place, in the order of the textbook form, so each value rounds as
+        # in p -= lr_t * (m / b1c) / (sqrt(v / b2c) + eps).
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        step = m / b1c
+        step *= lr_t
+        step /= np.sqrt(v / b2c) + ADAM_EPS
+        p.data -= step
     return state
 
 
@@ -105,7 +112,10 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, smoothing: float = 0.0) ->
     logp = shifted - logz
     q = np.full((B, n), smoothing / n)
     q[np.arange(B), labels] += 1.0 - smoothing
-    return -(logp * Tensor(q)).sum() / B
+    nll = -(logp * Tensor(q)).sum(axis=1)
+    # Sum the per-sample losses in sorted order, so the batch loss does not
+    # depend on the order of the samples in the batch.
+    return take(nll, np.argsort(nll.data, kind="stable")).sum() / B
 
 
 class SyntheticTask:

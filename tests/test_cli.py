@@ -5,8 +5,9 @@ from dataclasses import replace
 import pytest
 
 from gswin.analysis import count_flops, count_params
+from gswin.checkpoint import save_checkpoint
 from gswin.cli import run
-from gswin.model import PRESETS, ModelConfig
+from gswin.model import PRESETS, GswinModel, ModelConfig
 
 
 def _lines(capsys) -> dict[str, str]:
@@ -238,3 +239,24 @@ def test_train_json_summary(tmp_path, capsys):
 def test_export_weights_missing_checkpoint_is_validation_error(tmp_path):
     assert run(["export-weights", "--ckpt", str(tmp_path / "no.ckpt"),
                 "--stage", "0", "--layer", "0", "--head", "0"]) == 2
+
+
+@pytest.mark.parametrize("cut", ["header", "mid-name", "mid-shape", "mid-values"])
+def test_export_weights_truncated_checkpoint_is_validation_error(tmp_path, capsys, cut):
+    model = GswinModel(ModelConfig(base_channels=8, depths=(1, 1, 1, 1), heads=2,
+                                   window=(4, 4), num_classes=4, image_size=32), seed=0)
+    full = tmp_path / "full.ckpt"
+    save_checkpoint(full, model)
+    first = model.parameters()[0]
+    name_at = 4 + 5 + 2  # magic, version + count, name length
+    shape_at = name_at + len(first.name.encode()) + 1
+    values_at = shape_at + 4 * first.ndim
+    ends = {"header": 5, "mid-name": name_at + 2, "mid-shape": shape_at + 2,
+            "mid-values": values_at + 6}
+    short = tmp_path / "short.ckpt"
+    short.write_bytes(full.read_bytes()[:ends[cut]])
+    assert run(["export-weights", "--ckpt", str(short),
+                "--stage", "0", "--layer", "0", "--head", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "truncated" in err and str(short) in err
+    assert "Traceback" not in err

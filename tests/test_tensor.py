@@ -47,6 +47,43 @@ def test_matmul_grad():
     check_gradients(lambda: (a @ b).sum(), [a, b])
 
 
+def _folded_matmul_against_slices(a, w):
+    """Forward and both gradients of ``a @ w`` against per-slice np.matmul."""
+    G = RNG.standard_normal(a.shape[:-1] + (w.shape[1],))
+    out = a @ w
+    backward((out * Tensor(G)).sum())
+    ref_out = np.empty(out.shape)
+    ref_ga = np.empty(a.shape)
+    ref_gw = np.zeros(w.shape)
+    for idx in np.ndindex(a.shape[:-2]):
+        ref_out[idx] = np.matmul(a.data[idx], w.data)
+        ref_ga[idx] = np.matmul(G[idx], w.data.T)
+        ref_gw += np.matmul(a.data[idx].T, G[idx])
+    np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(a.grad, ref_ga, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(w.grad, ref_gw, rtol=0, atol=1e-12)
+
+
+def test_matmul_folds_leading_axes_4d():
+    _folded_matmul_against_slices(randt(2, 3, 5, 4), randt(4, 6))
+
+
+def test_matmul_folds_leading_axes_3d():
+    _folded_matmul_against_slices(randt(3, 7, 4), randt(4, 5))
+
+
+def test_matmul_folds_non_contiguous_left_operand():
+    a = Tensor(RNG.standard_normal((5, 3, 4)).transpose(1, 0, 2), requires_grad=True)
+    assert not a.data.flags.c_contiguous
+    _folded_matmul_against_slices(a, randt(4, 6))
+
+
+def test_matmul_folded_gradcheck():
+    a = randt(2, 3, 2, 4)
+    w = randt(4, 3)
+    check_gradients(lambda: ((a @ w) * (a @ w)).sum(), [a, w])
+
+
 def test_matmul_batched_broadcast_grad():
     # (K, 1, T, T) @ (K, N, T, C) exercises the unbroadcast path on both sides
     w = randt(2, 1, 3, 3)

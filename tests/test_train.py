@@ -8,6 +8,9 @@ from gswin.gradcheck import check_gradients
 from gswin.model import GswinModel, ModelConfig
 from gswin.tensor import Parameter, Tensor
 from gswin.train import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     TrainConfig,
     SyntheticTask,
     adamw_step,
@@ -110,6 +113,36 @@ def test_adamw_three_step_scalar_recurrence():
         vhat = v / (1 - 0.999 ** t)
         x -= 0.1 * mhat / (math.sqrt(vhat) + 1e-8)
     assert p.data[0] == pytest.approx(x, rel=1e-12)
+
+
+def test_adamw_updates_in_place_bit_identical_to_out_of_place_formula():
+    rng = np.random.default_rng(5)
+    cfg = TrainConfig(lr=0.05, weight_decay=0.1, warmup_steps=2, total_steps=10)
+    shapes = [(3, 4), (4,), (2, 2, 3)]
+    mask = [True, False, True]
+    params = [Parameter(rng.standard_normal(s), f"p{i}") for i, s in enumerate(shapes)]
+    ref = [p.data.copy() for p in params]
+    ref_m = [np.zeros(s) for s in shapes]
+    ref_v = [np.zeros(s) for s in shapes]
+    state = {}
+    for t in range(1, 6):
+        grads = [rng.standard_normal(s) for s in shapes]
+        sent = [g.copy() for g in grads]
+        adamw_step(params, grads, state, t, cfg, decay_mask=mask)
+        if t == 1:
+            moments = [state[p.name]["m"] for p in params]
+        assert all(state[p.name]["m"] is m for p, m in zip(params, moments))
+        lr_t = lr_at(t, cfg)
+        for i, g in enumerate(sent):
+            assert np.array_equal(grads[i], g)
+            if mask[i]:
+                ref[i] = ref[i] * (1.0 - lr_t * cfg.weight_decay)
+            ref_m[i] = ADAM_BETA1 * ref_m[i] + (1.0 - ADAM_BETA1) * g
+            ref_v[i] = ADAM_BETA2 * ref_v[i] + (1.0 - ADAM_BETA2) * (g * g)
+            mhat = ref_m[i] / (1.0 - ADAM_BETA1 ** t)
+            vhat = ref_v[i] / (1.0 - ADAM_BETA2 ** t)
+            ref[i] = ref[i] - lr_t * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            assert np.array_equal(params[i].data, ref[i]), (t, i)
 
 
 def test_adamw_shape_mismatch():
