@@ -8,9 +8,12 @@ materialization of effective mixing weights are not. Under this convention
 the spatial-mixing cost is independent of the head count (each token-mixing
 product touches every gate channel exactly once regardless of grouping).
 
-The "padding-free" strategy charges each window group its true token count;
-"zero-padding" charges shifted layers as if padded to uniform windows.
-Unshifted layers cost the same under both.
+The "padding-free" strategy charges each window group its true token count
+(the paper's count); "zero-padding" charges shifted layers as if padded to
+uniform windows, with the pad widths of :func:`gswin.windows.pad_widths`.
+Unshifted layers cost the same under both. The model executes the
+zero-padding arithmetic: it costs more FLOPs, but one window batch per layer
+runs faster in numpy than up to nine separately sliced groups.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import numpy as np
 from .model import GswinModel, ModelConfig
 from .sgu import materialize_relative_bias
 from .tensor import Tensor
-from .windows import axis_runs
+from .windows import axis_runs, pad_widths, shift_offset
 
 FLOPS_PER_LN_ELEMENT = 5
 CONVENTION = "1 MAC = 1 FLOP; biases, gates, GELU (1/elt) and LayerNorm (5/elt) counted"
@@ -92,14 +95,12 @@ def _sgu_window_sums(H: int, W: int, window: tuple[int, int],
                      shifted: bool, strategy: str) -> tuple[int, int]:
     """(sum of squared window token counts, sum of window token counts)."""
     h, w = window
-    oy, ox = (h // 2, w // 2) if shifted else (0, 0)
+    oy, ox = shift_offset(window, shifted)
     if (oy, ox) == (0, 0):
         shifted = False
     if strategy == "zero-padding" and shifted:
-        Hp = H + (h - oy)
-        Wp = W + (w - ox)
-        Hp += (-Hp) % h
-        Wp += (-Wp) % w
+        top, bottom, left, right = pad_widths((H, W), window, (oy, ox))
+        Hp, Wp = top + H + bottom, left + W + right
         return (Hp // h) * (Wp // w) * (h * w) ** 2, Hp * Wp
     rows = axis_runs(H, h, oy)
     cols = axis_runs(W, w, ox)

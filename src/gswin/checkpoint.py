@@ -162,7 +162,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return out
 
 
-_MODEL_KEYS = {
+MODEL_KEYS = {
     "model", "base_channels", "depths", "heads", "window", "expansion",
     "drop_path_rate", "num_classes", "image_size", "rel_bias",
 }

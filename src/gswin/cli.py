@@ -4,7 +4,7 @@ Subcommands:
     count           parameter totals for a preset or config file
     flops           forward-pass cost at a given resolution and shift strategy
     gradcheck       finite-difference verification (ops, one block, or a model)
-    equiv           padding-free vs zero-padding agreement battery
+    equiv           gating path vs zero-padding oracle agreement battery
     train           run the synthetic-task harness from a config file
     export-weights  dump one head's effective mixing weight as CSV + PGM
     presets         list the built-in model configurations
@@ -26,13 +26,14 @@ import numpy as np
 
 from .analysis import (STRATEGIES, count_flops, count_params, export_weight_maps,
                        format_count)
-from .checkpoint import model_config_from_mapping, model_from_checkpoint, parse_config_file
+from .checkpoint import (MODEL_KEYS, model_config_from_mapping, model_from_checkpoint,
+                         parse_config_file)
 from .gradcheck import check_gradients, op_gradcheck_suite
 from .model import DROP_PATH_RATES, PRESETS, GswinBlock, GswinModel, ModelConfig
 from .sgu import init_sgu_params, multi_head_window_sgu, zero_padding_shift_oracle
 from .tensor import Tensor
 from .train import SyntheticTask, TrainConfig, cross_entropy, train
-from .windows import WindowGrid
+from .windows import WindowGrid, shift_offset
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,8 +49,6 @@ GRADCHECK_CONFIG = ModelConfig(base_channels=4, depths=(1, 1, 1, 1), heads=2,
 _TRAIN_KEYS = {"lr", "weight_decay", "warmup_steps", "total_steps", "batch_size",
                "label_smoothing", "seed", "eval_every"}
 _TASK_KEYS = {"train_size", "eval_size", "noise", "frequency", "task_seed"}
-_MODEL_KEYS = {"model", "base_channels", "depths", "heads", "window", "expansion",
-               "drop_path_rate", "rel_bias", "num_classes", "image_size"}
 
 
 class _UsageError(Exception):
@@ -95,7 +94,7 @@ def _resolve_model(args) -> tuple[ModelConfig, str]:
     if args.model is not None:
         return PRESETS[args.model], args.model
     mapping = parse_config_file(args.config)
-    unknown = set(mapping) - _MODEL_KEYS
+    unknown = set(mapping) - MODEL_KEYS
     if unknown:
         raise ValueError(f"unknown model config keys: {sorted(unknown)}")
     return model_config_from_mapping(mapping), str(args.config)
@@ -188,8 +187,7 @@ def _equiv_case(rng: np.random.Generator, image: tuple[int, int], window: tuple[
     params = init_sgu_params(window, heads, gate, rel_bias=True, prefix="equiv")
     for p in (params.w_win, params.b_win, params.rel_table):
         p.data[...] = rng.standard_normal(p.shape)
-    offset = (window[0] // 2, window[1] // 2) if shifted else (0, 0)
-    grid = WindowGrid(image, window, offset=offset)
+    grid = WindowGrid(image, window, offset=shift_offset(window, shifted))
     B = int(rng.integers(1, 3))
     x = Tensor(rng.standard_normal((B, image[0], image[1], 2 * gate)))
     fast = multi_head_window_sgu(x, params, grid)
@@ -231,15 +229,15 @@ def _cmd_equiv(args) -> int:
         for key in ("seeds", "cases", "tolerance", "max_abs_diff", "status"):
             print(f"{key}={payload[key]}")
     if worst >= tol:
-        raise _CheckFailure(f"padding-free vs zero-padding max diff {worst:.3e} >= {tol}")
+        raise _CheckFailure(f"gating path vs zero-padding oracle max diff {worst:.3e} >= {tol}")
     return EXIT_OK
 
 
 def _split_train_mapping(mapping: dict[str, str]) -> tuple[dict, dict, dict]:
-    unknown = set(mapping) - _MODEL_KEYS - _TRAIN_KEYS - _TASK_KEYS
+    unknown = set(mapping) - MODEL_KEYS - _TRAIN_KEYS - _TASK_KEYS
     if unknown:
         raise ValueError(f"unknown train config keys: {sorted(unknown)}")
-    model_kv = {k: v for k, v in mapping.items() if k in _MODEL_KEYS}
+    model_kv = {k: v for k, v in mapping.items() if k in MODEL_KEYS}
     train_kv = {k: v for k, v in mapping.items() if k in _TRAIN_KEYS}
     task_kv = {k: v for k, v in mapping.items() if k in _TASK_KEYS}
     return model_kv, train_kv, task_kv

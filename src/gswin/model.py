@@ -17,7 +17,7 @@ import numpy as np
 
 from .sgu import init_sgu_params, multi_head_window_sgu
 from .tensor import Parameter, Tensor, gelu, layer_norm
-from .windows import WindowGrid
+from .windows import WindowGrid, shift_offset
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ class GswinBlock:
         hidden = expansion * dim
         self.gate_channels = hidden // 2
 
-        offset = (window[0] // 2, window[1] // 2) if shifted else (0, 0)
+        offset = shift_offset(window, shifted)
         if offset == (0, 0):
             self.shifted = False  # window too small to shift
         self.grid = WindowGrid(resolution, window, offset=offset)

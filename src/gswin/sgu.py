@@ -3,10 +3,16 @@
 The gating step splits tokens channel-wise into a value half and a gate half,
 mixes the gate half spatially with a learned token-by-token weight per head,
 and multiplies: Y = Z1 * (W Z2 + b). Windowed variants apply the same rule
-independently inside each window group of a :class:`~gswin.windows.WindowGrid`;
-partial windows of a shifted grid slice the center window's weights by index
-offset instead of padding, which is numerically identical to zero-padding
-(verified against :func:`zero_padding_shift_oracle`) but cheaper.
+independently inside each window of a :class:`~gswin.windows.WindowGrid`.
+
+Partial windows of a shifted or ragged grid are zero-padded to whole windows
+(the ``zero-padding`` strategy of :mod:`gswin.analysis`), so each layer mixes
+one uniform window batch with one GEMM per head. Padded tokens contribute
+nothing to the real ones and their own outputs are cropped, so the result
+equals slicing the weights for each partial window (the ``padding-free``
+strategy, which the paper counts as cheaper). In numpy wall time the single
+batch is faster: the padding-free executor ran up to nine window groups per
+layer, each with its own partition, weight slice and bias gather.
 """
 from __future__ import annotations
 
@@ -18,27 +24,21 @@ from .tensor import Parameter, Tensor, take
 from .windows import WindowGrid, window_partition, window_reverse
 
 
-def toeplitz_index_map(window: tuple[int, int],
-                       block: tuple[int, int] | None = None) -> np.ndarray:
-    """Indices into a relative-offset table for every token pair of a block.
+def toeplitz_index_map(window: tuple[int, int]) -> np.ndarray:
+    """Indices into a relative-offset table for every token pair of a window.
 
-    The table is laid out for the full ``window`` = (h, w): entry for relative
-    offset (dy, dx) lives at (dy + h - 1) * (2w - 1) + (dx + w - 1). ``block``
-    restricts the token set to a (bh, bw) sub-window (offsets shrink, the
-    table layout does not). Returns an int array of shape (bh*bw, bh*bw).
+    For ``window`` = (h, w), the entry for relative offset (dy, dx) lives at
+    (dy + h - 1) * (2w - 1) + (dx + w - 1). Returns an int array of shape
+    (h*w, h*w).
     """
     h, w = window
-    bh, bw = block if block is not None else window
-    if not (1 <= bh <= h and 1 <= bw <= w):
-        raise ValueError(f"block {block} exceeds window {window}")
-    ys, xs = np.divmod(np.arange(bh * bw), bw)
+    ys, xs = np.divmod(np.arange(h * w), w)
     dy = ys[:, None] - ys[None, :]
     dx = xs[:, None] - xs[None, :]
     return (dy + h - 1) * (2 * w - 1) + (dx + w - 1)
 
 
-def materialize_relative_bias(rel_table: Tensor, window: tuple[int, int],
-                              block: tuple[int, int] | None = None) -> Tensor:
+def materialize_relative_bias(rel_table: Tensor, window: tuple[int, int]) -> Tensor:
     """Expand a relative-offset table (L, K) to mixing-weight form (T, T, K).
 
     Output entry [(x, y), (x', y'), k] = rel_table[index(x - x', y - y'), k];
@@ -49,10 +49,9 @@ def materialize_relative_bias(rel_table: Tensor, window: tuple[int, int],
     L = (2 * h - 1) * (2 * w - 1)
     if rel_table.shape[0] != L:
         raise ValueError(f"table has {rel_table.shape[0]} rows, window {window} needs {L}")
-    idx = toeplitz_index_map(window, block)
-    T = idx.shape[0]
+    T = h * w
     K = rel_table.shape[1]
-    return take(rel_table, idx.reshape(-1)).reshape(T, T, K)
+    return take(rel_table, toeplitz_index_map(window).reshape(-1)).reshape(T, T, K)
 
 
 @dataclass
@@ -113,19 +112,30 @@ def init_sgu_params(window: tuple[int, int], heads: int, gate_channels: int,
                      channels_per_head=gate_channels // heads, rel_table=rel)
 
 
-def _mix_tokens(z2: Tensor, w_eff: Tensor, bias: Tensor, heads: int) -> Tensor:
-    """Per-head spatial mixing: (B, T, C) tokens -> (B, T, C).
+def _mix_windows(wins: Tensor, w_eff: Tensor, bias: Tensor, heads: int) -> Tensor:
+    """Per-head spatial mixing of a (B, n_h, h, n_w, w, C) window batch.
 
     w_eff is (T, T, K), bias (T, K); channels split into K contiguous head
-    blocks, each mixed with its own T x T weight.
+    blocks. The windows are laid out head-major as (K, T, B*n_h*n_w*ch) in
+    one copy, so each head mixes all of its windows with one GEMM.
     """
-    B, T, C = z2.shape
-    ch = C // heads
-    zh = z2.reshape(B, T, heads, ch).transpose((2, 0, 1, 3))      # (K, B, T, ch)
-    w = w_eff.transpose((2, 0, 1)).reshape(heads, 1, T, T)
-    b = bias.transpose((1, 0)).reshape(heads, 1, T, 1)
-    mixed = w @ zh + b
-    return mixed.transpose((1, 2, 0, 3)).reshape(B, T, C)
+    B, nh, h, nw, w, C = wins.shape
+    K = heads
+    ch, T, N = C // K, h * w, B * nh * nw
+    zh = (wins.reshape(B, nh, h, nw, w, K, ch)
+          .transpose((5, 2, 4, 0, 1, 3, 6))
+          .reshape(K, T, N * ch))
+    mixed = w_eff.transpose((2, 0, 1)) @ zh + bias.transpose((1, 0)).reshape(K, T, 1)
+    return (mixed.reshape(K, h, w, B, nh, nw, ch)
+            .transpose((3, 4, 1, 5, 2, 0, 6))
+            .reshape(B, nh, h, nw, w, C))
+
+
+def _effective_weight(params: SguParams) -> Tensor:
+    """Learned mixing weight plus the materialized relative-offset bias."""
+    if params.rel_table is None:
+        return params.w_win
+    return params.w_win + materialize_relative_bias(params.rel_table, params.window)
 
 
 def sgu(z: Tensor, params: SguParams) -> Tensor:
@@ -144,45 +154,17 @@ def sgu(z: Tensor, params: SguParams) -> Tensor:
     if N != h * w:
         raise ValueError(f"{N} tokens do not fill a {h}x{w} window")
     z1 = z[:, :C]
-    z2 = z[:, C:]
-    w_eff = params.w_win
-    if params.rel_table is not None:
-        w_eff = w_eff + materialize_relative_bias(params.rel_table, params.window)
-    mixed = _mix_tokens(z2.reshape(1, N, C), w_eff, params.b_win, params.heads)
+    z2 = z[:, C:].reshape(1, 1, h, 1, w, C)
+    mixed = _mix_windows(z2, _effective_weight(params), params.b_win, params.heads)
     return z1 * mixed.reshape(N, C)
-
-
-def _group_weights(params: SguParams, group_shape: tuple[int, int],
-                   w_offset: tuple[int, int]) -> tuple[Tensor, Tensor]:
-    """Effective (T_g, T_g, K) weights and (T_g, K) bias for one grid group.
-
-    Partial windows slice the center weights at the group's index offsets;
-    the relative-offset bias depends only on index differences, so it is
-    materialized directly on the group's shape.
-    """
-    h, w = params.window
-    gh, gw = group_shape
-    ro, co = w_offset
-    K = params.heads
-    Tg = gh * gw
-    if gh == h and gw == w:
-        w_sub = params.w_win
-        b_sub = params.b_win
-    else:
-        w5 = params.w_win.reshape(h, w, h, w, K)
-        w_sub = w5[ro:ro + gh, co:co + gw, ro:ro + gh, co:co + gw, :].reshape(Tg, Tg, K)
-        b_sub = params.b_win.reshape(h, w, K)[ro:ro + gh, co:co + gw, :].reshape(Tg, K)
-    if params.rel_table is not None:
-        w_sub = w_sub + materialize_relative_bias(params.rel_table, params.window, (gh, gw))
-    return w_sub, b_sub
 
 
 def multi_head_window_sgu(x: Tensor, params: SguParams, grid: WindowGrid) -> Tensor:
     """Windowed multi-head gating over a (B, H, W, 2C) feature map.
 
-    The gate half is mixed within each window group (partial windows use
-    index-offset weight slices), reassembled, and multiplied into the value
-    half. Output is (B, H, W, C).
+    The gate half is zero-padded to whole windows, mixed as one window batch,
+    cropped back to the map, and multiplied into the value half. Output is
+    (B, H, W, C).
     """
     B, H, W, C2 = x.shape
     if C2 % 2:
@@ -198,22 +180,20 @@ def multi_head_window_sgu(x: Tensor, params: SguParams, grid: WindowGrid) -> Ten
         raise ValueError(f"grid built for {grid.image}, input map is {(H, W)}")
     z1 = x[:, :, :, :C]
     z2 = x[:, :, :, C:]
-    mixed_groups = []
-    for g, wins in zip(grid.groups, window_partition(z2, grid)):
-        w_sub, b_sub = _group_weights(params, g.shape, g.w_offset)
-        mixed_groups.append(_mix_tokens(wins, w_sub, b_sub, params.heads))
-    mixed = window_reverse(mixed_groups, grid)
-    return z1 * mixed
+    (wins,) = window_partition(z2, grid)
+    mixed = _mix_windows(wins, _effective_weight(params), params.b_win, params.heads)
+    return z1 * window_reverse([mixed], grid)
 
 
 def zero_padding_shift_oracle(x: Tensor, params: SguParams, grid: WindowGrid) -> np.ndarray:
     """Reference path: pad to uniform windows, run the full-window gate, crop.
 
-    Deliberately plain numpy with explicit per-window, per-head loops; shares
-    no arithmetic with :func:`multi_head_window_sgu`. Forward values only (no
-    graph). Zero-padded gate inputs contribute nothing to surviving rows, and
-    cropped rows discard the padding's own outputs, so this must match the
-    padding-free path to within accumulation noise.
+    Deliberately plain numpy with explicit per-window, per-head loops and its
+    own pad widths; shares no code with :func:`multi_head_window_sgu`. Forward
+    values only (no graph). Zero-padded gate inputs contribute nothing to
+    surviving rows, and cropped rows discard the padding's own outputs, so
+    this equals per-window weight slicing and must match the model's batched
+    path to within accumulation noise.
     """
     B, H, W, C2 = x.shape
     if C2 % 2:

@@ -209,16 +209,20 @@ def train(model: GswinModel, task: SyntheticTask, config: TrainConfig,
 
         logits = model.forward(Tensor(task.train_x[idx]), training=True, rng=branch_rng)
         loss = cross_entropy(logits, task.train_y[idx], smoothing=config.label_smoothing)
-        if not np.isfinite(loss.data):
-            raise RuntimeError(f"loss diverged at step {t}: {float(loss.data)}")
+        loss_v = float(loss.data)
+        if not np.isfinite(loss_v):
+            raise RuntimeError(f"loss diverged at step {t}: {loss_v}")
         model.zero_grads()
         backward(loss)
+        # Free this step's graph now, so the next forward does not build its
+        # own while this one is still alive.
+        del logits, loss
         grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
         adamw_step(params, grads, state, t, config, decay_mask=mask)
 
         history.steps.append(t)
         history.lrs.append(lr_at(t, config))
-        history.losses.append(float(loss.data))
+        history.losses.append(loss_v)
         if t % config.eval_every == 0 or t == config.total_steps:
             acc = evaluate(model, task.eval_x, task.eval_y)
             history.eval_steps.append(t)

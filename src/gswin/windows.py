@@ -1,21 +1,21 @@
 """Window tiling geometry.
 
-A feature map is carved into rectangular window groups. With a zero origin
-offset the grid is the plain uniform tiling; with a nonzero offset (oy, ox)
-the first band along each axis is a partial window of extent oy (or ox), and
-the remaining bands continue at full window pitch. Every partial band reuses
-a contiguous index slice of the full window's mixing weights:
+A layer's windows form one uniform grid. The map is zero-padded so that
+every window is whole: a shifted tiling, whose first full window starts at
+offset (oy, ox), pads ``(h - oy) % h`` rows on top and ``(w - ox) % w``
+columns on the left, and every tiling pads the bottom and right up to a
+whole window. The gating unit then mixes one window batch per layer.
 
-  - leading partial band of extent e -> weight indices [win - e, win)
-  - trailing partial band of extent e -> weight indices [0, e)
-
-so no separate weight storage exists for partial windows.
+The padding-free view of the same tiling survives in :func:`axis_runs`: each
+axis splits into bands, a partial band of extent e reusing the index slice
+[win - e, win) (leading) or [0, e) (trailing) of the full window. Cost
+accounting uses it to count what a padding-free executor would spend.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tensor import Tensor, concatenate
+from .tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -32,16 +32,20 @@ class BandRun:
         return self.start + self.count * self.extent
 
 
+def _check_axis(extent: int, window: int, origin: int) -> None:
+    if window < 1 or window > extent:
+        raise ValueError(f"window {window} does not fit axis extent {extent}")
+    if not 0 <= origin < window:
+        raise ValueError(f"origin {origin} outside [0, {window})")
+
+
 def axis_runs(extent: int, window: int, origin: int) -> tuple[BandRun, ...]:
     """Band decomposition of one axis.
 
     ``origin`` is where the first full-pitch band starts; it must lie in
     [0, window). A nonzero origin produces a leading partial band.
     """
-    if window < 1 or window > extent:
-        raise ValueError(f"window {window} does not fit axis extent {extent}")
-    if not 0 <= origin < window:
-        raise ValueError(f"origin {origin} outside [0, {window})")
+    _check_axis(extent, window, origin)
     runs: list[BandRun] = []
     if origin:
         runs.append(BandRun(start=0, count=1, extent=origin, offset=window - origin))
@@ -54,31 +58,31 @@ def axis_runs(extent: int, window: int, origin: int) -> tuple[BandRun, ...]:
     return tuple(runs)
 
 
-@dataclass(frozen=True)
-class GridGroup:
-    """One group of equally shaped windows within a grid."""
+def shift_offset(window: tuple[int, int], shifted: bool) -> tuple[int, int]:
+    """Origin of a layer's tiling: half a window along each axis when shifted."""
+    return (window[0] // 2, window[1] // 2) if shifted else (0, 0)
 
-    rows: tuple[int, int]      # [r0, r1) span in the feature map
-    cols: tuple[int, int]
-    shape: tuple[int, int]     # per-window extents (g_h, g_w)
-    counts: tuple[int, int]    # windows along rows / cols
-    w_offset: tuple[int, int]  # leading indices into the center weight window
 
-    @property
-    def tokens(self) -> int:
-        return self.shape[0] * self.shape[1]
+def pad_widths(image: tuple[int, int], window: tuple[int, int],
+               offset: tuple[int, int]) -> tuple[int, int, int, int]:
+    """(top, bottom, left, right) zero bands that make a tiling uniform.
 
-    @property
-    def n_windows(self) -> int:
-        return self.counts[0] * self.counts[1]
+    The first full window starts at ``offset``; padding the map by these
+    widths turns the leading and trailing partial bands into whole windows.
+    """
+    (H, W), (h, w), (oy, ox) = image, window, offset
+    top = (h - oy) % h
+    left = (w - ox) % w
+    return top, (-(top + H)) % h, left, (-(left + W)) % w
 
 
 class WindowGrid:
-    """Disjoint tiling of an H x W map into window groups.
+    """Uniform tiling of an H x W map by h x w windows, zero-padded to fit.
 
-    With offset (0, 0) and divisible extents there is exactly one group of
-    full windows; a shifted tiling uses offset (h//2, w//2) and yields up to
-    nine groups (fewer on maps a single window wide or tall).
+    With offset (0, 0) on a map the window divides, no padding is needed. A
+    shifted tiling (offset (h//2, w//2)) pads ``top``/``left`` so that its
+    partial leading band becomes a whole window, and every grid pads the
+    bottom and right up to a whole window.
     """
 
     def __init__(self, image: tuple[int, int], window: tuple[int, int],
@@ -86,19 +90,12 @@ class WindowGrid:
         self.image = (int(image[0]), int(image[1]))
         self.window = (int(window[0]), int(window[1]))
         self.offset = (int(offset[0]), int(offset[1]))
-        self.row_runs = axis_runs(self.image[0], self.window[0], self.offset[0])
-        self.col_runs = axis_runs(self.image[1], self.window[1], self.offset[1])
-        self.groups: list[GridGroup] = [
-            GridGroup(
-                rows=(rr.start, rr.stop),
-                cols=(cr.start, cr.stop),
-                shape=(rr.extent, cr.extent),
-                counts=(rr.count, cr.count),
-                w_offset=(rr.offset, cr.offset),
-            )
-            for rr in self.row_runs
-            for cr in self.col_runs
-        ]
+        for extent, win, origin in zip(self.image, self.window, self.offset):
+            _check_axis(extent, win, origin)
+        self.pads = pad_widths(self.image, self.window, self.offset)
+        top, bottom, left, right = self.pads
+        self.counts = ((top + self.image[0] + bottom) // self.window[0],
+                       (left + self.image[1] + right) // self.window[1])
 
     @property
     def shifted(self) -> bool:
@@ -106,92 +103,36 @@ class WindowGrid:
 
     def __repr__(self) -> str:
         return (f"WindowGrid(image={self.image}, window={self.window}, "
-                f"offset={self.offset}, groups={len(self.groups)})")
-
-
-@dataclass(frozen=True)
-class RegionSpec:
-    """Shape and weight anchor of one region of a shifted tiling."""
-
-    position: str
-    shape: tuple[int, int]
-    w_offset: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class ShiftGroupPlan:
-    window: tuple[int, int]
-    partial: tuple[int, int]
-    regions: tuple[RegionSpec, ...]
-
-
-def build_shift_plan(window: tuple[int, int], partial: tuple[int, int]) -> ShiftGroupPlan:
-    """Nine-region decomposition of a shifted tiling.
-
-    ``partial`` = (t_h, t_w) is the extent of the top/left partial bands.
-    Top and left regions anchor at weight index window - partial; bottom and
-    right regions (extent window - partial) anchor at 0; the center region
-    uses the full index range.
-    """
-    h, w = window
-    t_h, t_w = partial
-    if not (0 < t_h < h and 0 < t_w < w):
-        raise ValueError(f"partial extents {partial} must sit strictly inside window {window}")
-    row_kinds = (("upper", t_h, h - t_h), ("", h, 0), ("lower", h - t_h, 0))
-    col_kinds = (("left", t_w, w - t_w), ("", w, 0), ("right", w - t_w, 0))
-    regions = []
-    for rname, rext, roff in row_kinds:
-        for cname, cext, coff in col_kinds:
-            position = "-".join(p for p in (rname, cname) if p) or "center"
-            regions.append(RegionSpec(position=position, shape=(rext, cext), w_offset=(roff, coff)))
-    return ShiftGroupPlan(window=(h, w), partial=(t_h, t_w), regions=tuple(regions))
+                f"offset={self.offset}, pads={self.pads})")
 
 
 def window_partition(x: Tensor, grid: WindowGrid) -> list[Tensor]:
-    """Split (B, H, W, C) into one token batch per grid group.
+    """Pad (B, H, W, C) to whole windows and view it as one window batch.
 
-    Returns, in ``grid.groups`` order, tensors of shape
-    (B * n_windows, g_h * g_w, C).
+    Returns a one-element list holding the (B, n_h, h, n_w, w, C) view of
+    the padded map; window (i, j) is ``[:, i, :, j, :, :]``.
     """
     B, H, W, C = x.shape
     if (H, W) != grid.image:
         raise ValueError(f"grid built for {grid.image}, input map is {(H, W)}")
-    out = []
-    for g in grid.groups:
-        (r0, r1), (c0, c1) = g.rows, g.cols
-        nr, nc = g.counts
-        gh, gw = g.shape
-        region = x[:, r0:r1, c0:c1, :]
-        wins = (region.reshape(B, nr, gh, nc, gw, C)
-                .transpose((0, 1, 3, 2, 4, 5))
-                .reshape(B * nr * nc, gh * gw, C))
-        out.append(wins)
-    return out
+    top, bottom, left, right = grid.pads
+    if any(grid.pads):
+        x = x.pad(((0, 0), (top, bottom), (left, right), (0, 0)))
+    (nh, nw), (h, w) = grid.counts, grid.window
+    return [x.reshape(B, nh, h, nw, w, C)]
 
 
 def window_reverse(batches: list[Tensor], grid: WindowGrid) -> Tensor:
-    """Inverse of :func:`window_partition` for the same grid."""
-    if len(batches) != len(grid.groups):
-        raise ValueError(f"expected {len(grid.groups)} batches, got {len(batches)}")
-    regions: dict[tuple[int, int], Tensor] = {}
-    B = None
-    for g, wins in zip(grid.groups, batches):
-        nr, nc = g.counts
-        gh, gw = g.shape
-        n, T, C = wins.shape
-        if T != gh * gw or n % (nr * nc):
-            raise ValueError(f"batch shape {wins.shape} does not match group {g}")
-        b = n // (nr * nc)
-        if B is None:
-            B = b
-        elif b != B:
-            raise ValueError("inconsistent batch extents across groups")
-        region = (wins.reshape(B, nr, nc, gh, gw, C)
-                  .transpose((0, 1, 3, 2, 4, 5))
-                  .reshape(B, nr * gh, nc * gw, C))
-        regions[(g.rows[0], g.cols[0])] = region
-    rows = []
-    for rr in grid.row_runs:
-        row = [regions[(rr.start, cr.start)] for cr in grid.col_runs]
-        rows.append(row[0] if len(row) == 1 else concatenate(row, axis=2))
-    return rows[0] if len(rows) == 1 else concatenate(rows, axis=1)
+    """Inverse of :func:`window_partition` for the same grid: un-window and crop."""
+    if len(batches) != 1:
+        raise ValueError(f"expected one window batch, got {len(batches)}")
+    (wins,) = batches
+    (nh, nw), (h, w) = grid.counts, grid.window
+    if wins.ndim != 6 or wins.shape[1:5] != (nh, h, nw, w):
+        raise ValueError(f"batch shape {wins.shape} does not match grid {grid}")
+    B, C = wins.shape[0], wins.shape[5]
+    x = wins.reshape(B, nh * h, nw * w, C)
+    if any(grid.pads):
+        (H, W), top, left = grid.image, grid.pads[0], grid.pads[2]
+        x = x[:, top:top + H, left:left + W, :]
+    return x

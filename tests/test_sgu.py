@@ -1,6 +1,8 @@
 """Gating kernels: brute-force oracles, padding equivalence, structure checks."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gswin.gradcheck import check_gradients
 from gswin.sgu import (
@@ -13,7 +15,7 @@ from gswin.sgu import (
     zero_padding_shift_oracle,
 )
 from gswin.tensor import Parameter, Tensor
-from gswin.windows import WindowGrid
+from gswin.windows import WindowGrid, window_partition, window_reverse
 
 
 def random_params(rng, window, heads, gate_channels, rel=True):
@@ -194,26 +196,25 @@ def test_window_sgu_head_consistency():
 
 
 def test_window_sgu_locality():
+    # a bump changes exactly the window holding it; window edges sit at
+    # offset + 7k, clipped to the map
     rng = np.random.default_rng(8)
     p = random_params(rng, (7, 7), heads=2, gate_channels=4)
     x = rng.standard_normal((1, 14, 14, 8))
     for offset in [(0, 0), (3, 3)]:
         grid = WindowGrid((14, 14), (7, 7), offset=offset)
         base = multi_head_window_sgu(Tensor(x), p, grid).data
-        py, px = 5, 9
-        bumped = x.copy()
-        bumped[0, py, px, :] += 1.0
-        out = multi_head_window_sgu(Tensor(bumped), p, grid).data
-        diff = np.abs(out - base).sum(axis=-1)[0]
-        group = next(g for g in grid.groups
-                     if g.rows[0] <= py < g.rows[1] and g.cols[0] <= px < g.cols[1])
-        gh, gw = group.shape
-        wy = group.rows[0] + ((py - group.rows[0]) // gh) * gh
-        wx = group.cols[0] + ((px - group.cols[0]) // gw) * gw
-        mask = np.zeros((14, 14), dtype=bool)
-        mask[wy:wy + gh, wx:wx + gw] = True
-        assert (diff[~mask] == 0).all()
-        assert diff[mask].max() > 0
+        for token in [(5, 9), (1, 12)]:
+            bumped = x.copy()
+            bumped[0, token[0], token[1], :] += 1.0
+            out = multi_head_window_sgu(Tensor(bumped), p, grid).data
+            diff = np.abs(out - base).sum(axis=-1)[0]
+            lo = [max(0, o + (t - o) // 7 * 7) for t, o in zip(token, offset)]
+            hi = [min(14, o + ((t - o) // 7 + 1) * 7) for t, o in zip(token, offset)]
+            mask = np.zeros((14, 14), dtype=bool)
+            mask[lo[0]:hi[0], lo[1]:hi[1]] = True
+            assert (diff[~mask] == 0).all(), (offset, token)
+            assert diff[mask].max() > 0, (offset, token)
 
 
 def test_window_sgu_validation_errors():
@@ -261,6 +262,53 @@ def test_oracle_matches_on_varied_shapes_and_seeds():
         assert np.max(np.abs(fast - ref)) < 1e-12, (image, offset)
 
 
+def test_oracle_matches_with_extreme_padding():
+    # window as large as the map and shifted, 1x1 windows, ragged maps,
+    # non-square windows, several batch samples, one head and seven heads
+    cases = [
+        ((7, 7), (7, 7), (3, 3), 3, 1),
+        ((7, 7), (7, 7), (3, 3), 2, 7),
+        ((5, 6), (1, 1), (0, 0), 2, 2),
+        ((9, 16), (7, 7), (0, 0), 2, 7),
+        ((9, 16), (7, 7), (3, 3), 3, 1),
+        ((10, 13), (4, 4), (2, 2), 2, 1),
+        ((10, 13), (4, 4), (2, 2), 1, 7),
+        ((6, 9), (3, 4), (1, 2), 2, 3),
+    ]
+    for seed, (image, window, offset, B, K) in enumerate(cases, start=40):
+        rng = np.random.default_rng(seed)
+        p = random_params(rng, window, heads=K, gate_channels=2 * K, rel=seed % 2 == 0)
+        x = Tensor(rng.standard_normal((B, *image, 4 * K)))
+        grid = WindowGrid(image, window, offset=offset)
+        fast = multi_head_window_sgu(x, p, grid).data
+        ref = zero_padding_shift_oracle(x, p, grid)
+        assert np.max(np.abs(fast - ref)) < 1e-12, (image, window, offset, B, K)
+
+
+@st.composite
+def _tilings(draw):
+    H, W = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    h, w = draw(st.integers(1, H)), draw(st.integers(1, W))
+    offset = (draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1)))
+    return (H, W), (h, w), offset, draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tilings())
+def test_window_sgu_matches_oracle_on_random_tilings(case):
+    image, window, offset, K, seed = case
+    rng = np.random.default_rng(seed)
+    grid = WindowGrid(image, window, offset=offset)
+    B = int(rng.integers(1, 3))
+    C = K * int(rng.integers(1, 3))
+    x = Tensor(rng.standard_normal((B, *image, 2 * C)))
+    back = window_reverse(window_partition(x, grid), grid)
+    assert np.array_equal(back.data, x.data)
+    p = random_params(rng, window, heads=K, gate_channels=C, rel=bool(seed % 2))
+    fast = multi_head_window_sgu(x, p, grid).data
+    assert np.max(np.abs(fast - zero_padding_shift_oracle(x, p, grid))) < 1e-12
+
+
 def test_oracle_unshifted_equals_plain_window_sgu():
     rng = np.random.default_rng(11)
     p = random_params(rng, (4, 4), heads=2, gate_channels=4)
@@ -280,6 +328,22 @@ def test_window_sgu_gradcheck_all_parameters():
     x = Tensor(rng.standard_normal((1, 4, 4, 8)), requires_grad=True)
     grid = WindowGrid((4, 4), (2, 2), offset=(1, 1))
     r = Tensor(rng.standard_normal((1, 4, 4, 4)))
+    worst = check_gradients(
+        lambda: (multi_head_window_sgu(x, p, grid) * r).sum(),
+        [x, p.w_win, p.b_win, p.rel_table],
+        tol=1e-4,
+    )
+    assert worst < 1e-4
+
+
+def test_window_sgu_gradcheck_shifted_ragged_map():
+    # 6x8 map, 2x3 windows shifted by (1, 1): padding on all four sides
+    rng = np.random.default_rng(13)
+    p = random_params(rng, (2, 3), heads=2, gate_channels=4)
+    x = Tensor(rng.standard_normal((2, 6, 8, 8)), requires_grad=True)
+    grid = WindowGrid((6, 8), (2, 3), offset=(1, 1))
+    assert grid.pads == (1, 1, 2, 2)
+    r = Tensor(rng.standard_normal((2, 6, 8, 4)))
     worst = check_gradients(
         lambda: (multi_head_window_sgu(x, p, grid) * r).sum(),
         [x, p.w_win, p.b_win, p.rel_table],

@@ -1,4 +1,4 @@
-"""Grid geometry: band decompositions, shift plans, partition round-trips."""
+"""Grid geometry: band decompositions, padded tilings, partition round-trips."""
 import numpy as np
 import pytest
 
@@ -7,7 +7,8 @@ from gswin.windows import (
     BandRun,
     WindowGrid,
     axis_runs,
-    build_shift_plan,
+    pad_widths,
+    shift_offset,
     window_partition,
     window_reverse,
 )
@@ -43,25 +44,51 @@ def test_axis_runs_errors():
         axis_runs(14, 7, -1)
 
 
+def test_shift_offset_half_window():
+    assert shift_offset((7, 7), True) == (3, 3)
+    assert shift_offset((4, 3), True) == (2, 1)
+    assert shift_offset((7, 7), False) == (0, 0)
+
+
+def test_pad_widths_make_whole_windows():
+    assert pad_widths((14, 14), (7, 7), (0, 0)) == (0, 0, 0, 0)
+    assert pad_widths((14, 14), (7, 7), (3, 3)) == (4, 3, 4, 3)
+    assert pad_widths((9, 16), (7, 7), (0, 3)) == (0, 5, 4, 1)
+    assert pad_widths((5, 5), (1, 1), (0, 0)) == (0, 0, 0, 0)
+
+
+def _real_windows(grid):
+    """(extent, first index) of the unpadded tokens in each padded window."""
+    H, W = grid.image
+    ones = window_partition(Tensor(np.ones((1, H, W, 1))), grid)[0].data[0, ..., 0]
+    out = []
+    for i in range(grid.counts[0]):
+        for j in range(grid.counts[1]):
+            rows = np.flatnonzero(ones[i, :, j, :].any(axis=1))
+            cols = np.flatnonzero(ones[i, :, j, :].any(axis=0))
+            out.append(((len(rows), len(cols)), (rows[0], cols[0])))
+    return out
+
+
 def test_grid_unshifted_single_group():
     grid = WindowGrid((14, 14), (7, 7))
-    assert len(grid.groups) == 1
-    g = grid.groups[0]
-    assert g.shape == (7, 7)
-    assert g.n_windows == 4
+    assert grid.pads == (0, 0, 0, 0)
+    assert grid.counts == (2, 2)
     assert not grid.shifted
 
 
 def test_grid_shifted_nine_groups_shapes():
+    # the padded windows hold exactly the padding-free groups: extents, and
+    # where their real tokens start inside the window (the weight offsets)
     grid = WindowGrid((14, 14), (7, 7), offset=(3, 3))
-    shapes = [g.shape for g in grid.groups]
-    assert shapes == [
+    assert grid.counts == (3, 3)
+    real = _real_windows(grid)
+    assert [shape for shape, _ in real] == [
         (3, 3), (3, 7), (3, 4),
         (7, 3), (7, 7), (7, 4),
         (4, 3), (4, 7), (4, 4),
     ]
-    offs = [g.w_offset for g in grid.groups]
-    assert offs == [
+    assert [start for _, start in real] == [
         (4, 4), (4, 0), (4, 0),
         (0, 4), (0, 0), (0, 0),
         (0, 4), (0, 0), (0, 0),
@@ -70,65 +97,40 @@ def test_grid_shifted_nine_groups_shapes():
 
 def test_grid_single_window_shifted_corners_only():
     grid = WindowGrid((7, 7), (7, 7), offset=(3, 3))
-    assert [g.shape for g in grid.groups] == [(3, 3), (3, 4), (4, 3), (4, 4)]
+    assert [shape for shape, _ in _real_windows(grid)] == [(3, 3), (3, 4), (4, 3), (4, 4)]
 
 
 def test_grid_groups_tile_exactly():
-    # pairwise disjoint, union == full index set
+    # every map position lands in exactly one padded window
     for image, offset in [((14, 14), (3, 3)), ((21, 28), (3, 3)), ((10, 12), (0, 0)),
                           ((9, 16), (3, 3))]:
         grid = WindowGrid(image, (7, 7), offset=offset)
-        cover = np.zeros(image, dtype=int)
-        for g in grid.groups:
-            cover[g.rows[0]:g.rows[1], g.cols[0]:g.cols[1]] += 1
-        assert (cover == 1).all(), (image, offset)
+        ids = np.arange(1, image[0] * image[1] + 1, dtype=np.float64)
+        wins = window_partition(Tensor(ids.reshape(1, *image, 1)), grid)[0].data
+        seen = np.sort(wins[wins != 0])
+        assert np.array_equal(seen, ids), (image, offset)
 
 
-def test_shift_plan_window7():
-    plan = build_shift_plan((7, 7), (3, 3))
-    by_pos = {r.position: r for r in plan.regions}
-    assert len(plan.regions) == 9
-    assert by_pos["upper"].shape == (3, 7)
-    assert by_pos["upper"].w_offset == (4, 0)
-    assert by_pos["lower"].shape == (4, 7)
-    assert by_pos["lower"].w_offset == (0, 0)
-    assert by_pos["center"].shape == (7, 7)
-    assert by_pos["upper-left"].w_offset == (4, 4)
-    assert by_pos["right"].shape == (7, 4)
-
-
-def test_shift_plan_half_window_symmetric():
-    plan = build_shift_plan((4, 4), (2, 2))
-    by_pos = {r.position: r for r in plan.regions}
-    assert by_pos["upper"].w_offset == (2, 0)
-    assert by_pos["upper"].shape == (2, 4)
-    assert by_pos["lower"].shape == (2, 4)
-
-
-def test_shift_plan_rejects_degenerate():
-    for partial in [(0, 3), (7, 3), (3, 0), (3, 7)]:
+def test_grid_rejects_bad_geometry():
+    for image, window, offset in [((5, 14), (7, 7), (0, 0)), ((14, 14), (7, 7), (7, 0)),
+                                  ((14, 14), (7, 7), (0, -1))]:
         with pytest.raises(ValueError):
-            build_shift_plan((7, 7), partial)
-
-
-def test_shift_plan_matches_grid_groups():
-    plan = build_shift_plan((7, 7), (3, 3))
-    grid = WindowGrid((21, 28), (7, 7), offset=(3, 3))
-    assert [g.shape for g in grid.groups] == [r.shape for r in plan.regions]
-    assert [g.w_offset for g in grid.groups] == [r.w_offset for r in plan.regions]
+            WindowGrid(image, window, offset=offset)
 
 
 def test_partition_unshifted_counts():
     x = Tensor(np.arange(2 * 14 * 14 * 3, dtype=np.float64).reshape(2, 14, 14, 3))
     batches = window_partition(x, WindowGrid((14, 14), (7, 7)))
     assert len(batches) == 1
-    assert batches[0].shape == (8, 49, 3)
+    assert batches[0].shape == (2, 2, 7, 2, 7, 3)
 
 
 def test_partition_shifted_group_count():
+    # one batch: the 14x14 map padded to 3x3 whole windows
     x = Tensor(np.zeros((1, 14, 14, 2)))
     batches = window_partition(x, WindowGrid((14, 14), (7, 7), offset=(3, 3)))
-    assert len(batches) == 9
+    assert len(batches) == 1
+    assert batches[0].shape == (1, 3, 7, 3, 7, 2)
 
 
 def test_partition_reverse_round_trip():
@@ -151,5 +153,4 @@ def test_partition_windows_carry_correct_tokens():
     x = Tensor(np.arange(14 * 14, dtype=np.float64).reshape(1, 14, 14, 1))
     grid = WindowGrid((14, 14), (7, 7))
     wins = window_partition(x, grid)[0]
-    expected = x.data[0, 0:7, 7:14, 0].reshape(49)
-    assert (wins.data[1, :, 0] == expected).all()
+    assert (wins.data[0, 0, :, 1, :, 0] == x.data[0, 0:7, 7:14, 0]).all()
