@@ -14,7 +14,9 @@ Values are stored at 32-bit precision regardless of the in-memory dtype.
 """
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +27,27 @@ MAGIC = b"GSWN"
 VERSION = 1
 
 
+@contextmanager
+def atomic_open(path: str | Path, mode: str = "wb", **kwargs):
+    """Write to a temp file beside ``path`` that replaces ``path`` on success.
+
+    If the block raises, the temp file is removed and ``path`` keeps its old
+    contents. The replace is atomic against a crash of the process; nothing
+    is fsynced, so it is not durable against a crash of the machine.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_checkpoint(path: str | Path, model: GswinModel) -> None:
     params = model.parameters()
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<BI", VERSION, len(params)))
         for p in params:

@@ -1,9 +1,12 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Every operation records a vector-Jacobian-product closure on its output;
-``backward`` walks the recorded graph once in reverse topological order and
-accumulates gradients on the leaves. Data lives in numpy arrays (float64 by
-default; tests rely on 64-bit precision).
+Every operation records a graph node on its output: the vector-Jacobian-
+product closure and the nodes or leaves its gradient flows to. A node holds
+no value; each vjp captures only the arrays it reads, so an intermediate
+value lives only while its caller holds it or a vjp needs it. ``backward``
+walks the nodes once in reverse topological order and accumulates gradients
+on the leaves. Data lives in numpy arrays (float64 by default; tests rely on
+64-bit precision).
 """
 from __future__ import annotations
 
@@ -44,17 +47,30 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+class _Node:
+    """One recorded op: its vjp and, per input, where that input's gradient goes.
+
+    A parent is the input's own node, the input itself when it is a
+    requires-grad leaf, or ``None`` when the input needs no gradient.
+    """
+
+    __slots__ = ("parents", "vjp")
+
+    def __init__(self, parents: tuple, vjp: Callable[[np.ndarray], tuple]):
+        self.parents = parents
+        self.vjp = vjp
+
+
 class Tensor:
     """N-dimensional value array, optionally attached to a computation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data: Any, requires_grad: bool = False, dtype=np.float64):
         self.data = np.asarray(data, dtype=dtype)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Callable[[np.ndarray], tuple[np.ndarray | None, ...]] | None = None
+        self._node: _Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -80,44 +96,57 @@ class Tensor:
 
     # -- graph plumbing -----------------------------------------------------
 
+    @property
+    def _vjp(self) -> Callable[[np.ndarray], tuple] | None:
+        """The recorded vjp, ``None`` when no op was recorded; assignable."""
+        return None if self._node is None else self._node.vjp
+
+    @_vjp.setter
+    def _vjp(self, vjp: Callable[[np.ndarray], tuple]) -> None:
+        self._node.vjp = vjp
+
     @staticmethod
     def _result(data, parents, vjp) -> "Tensor":
         out = Tensor(data, dtype=data.dtype)
         if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
-            out._parents = parents
-            out._vjp = vjp
+            out._node = _Node(tuple(p._node or (p if p.requires_grad else None)
+                                    for p in parents), vjp)
         return out
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
-        a, b = self, other
-        out_data = a.data + b.data
+        a_shape, b_shape = self.shape, other.shape
+        out_data = self.data + other.data
 
         def vjp(g):
-            return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+            return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
-        return Tensor._result(out_data, (a, b), vjp)
+        return Tensor._result(out_data, (self, other), vjp)
 
     __radd__ = __add__
 
     def __mul__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
-        a, b = self, other
-        out_data = a.data * b.data
+        a_shape, b_shape = self.shape, other.shape
+        out_data = self.data * other.data
+        # Each gradient reads the other operand: keep an operand only when the
+        # other one needs its gradient.
+        a_data = self.data if other.requires_grad else None
+        b_data = other.data if self.requires_grad else None
 
         def vjp(g):
-            return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+            return (None if b_data is None else _unbroadcast(g * b_data, a_shape),
+                    None if a_data is None else _unbroadcast(g * a_data, b_shape))
 
-        return Tensor._result(out_data, (a, b), vjp)
+        return Tensor._result(out_data, (self, other), vjp)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Tensor":
-        a = self
-        return Tensor._result(-a.data, (a,), lambda g: (-g,))
+        return Tensor._result(-self.data, (self,), lambda g: (-g,))
 
     def __sub__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
@@ -133,90 +162,95 @@ class Tensor:
 
     def __matmul__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
-        a, b = self, other
-        if a.ndim < 2 or b.ndim < 2:
-            raise ValueError(f"matmul requires >=2-d operands, got {a.shape} @ {b.shape}")
-        if a.shape[-1] != b.shape[-2]:
-            raise ValueError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
-        if b.ndim == 2:
+        a_shape, b_shape = self.shape, other.shape
+        if len(a_shape) < 2 or len(b_shape) < 2:
+            raise ValueError(f"matmul requires >=2-d operands, got {a_shape} @ {b_shape}")
+        if a_shape[-1] != b_shape[-2]:
+            raise ValueError(f"matmul inner extents differ: {a_shape} @ {b_shape}")
+        # As in __mul__, each gradient reads only the other operand.
+        a_data = self.data if other.requires_grad else None
+        b_data = other.data if self.requires_grad else None
+        if len(b_shape) == 2:
             # Fold a's leading axes into one (N, C) @ (C, D) GEMM: BLAS runs one
             # large product far faster than a stack of small ones, and the
             # weight gradient comes out whole, with no stacked temporary to sum.
-            C, D = b.shape
-            out_data = (a.data.reshape(-1, C) @ b.data).reshape(a.shape[:-1] + (D,))
+            C, D = b_shape
+            out_data = (self.data.reshape(-1, C) @ other.data).reshape(a_shape[:-1] + (D,))
 
             def vjp(g):
                 # Reshape here, not in the forward: a non-contiguous ``a`` would
                 # otherwise keep a second copy alive until backward.
                 g2 = g.reshape(-1, D)
-                return (g2 @ b.data.T).reshape(a.shape), a.data.reshape(-1, C).T @ g2
+                return (None if b_data is None else (g2 @ b_data.T).reshape(a_shape),
+                        None if a_data is None else a_data.reshape(-1, C).T @ g2)
 
-            return Tensor._result(out_data, (a, b), vjp)
-        out_data = np.matmul(a.data, b.data)
+            return Tensor._result(out_data, (self, other), vjp)
+        out_data = np.matmul(self.data, other.data)
 
         def vjp(g):
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+            ga = (None if b_data is None else
+                  _unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a_shape))
+            gb = (None if a_data is None else
+                  _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b_shape))
             return ga, gb
 
-        return Tensor._result(out_data, (a, b), vjp)
+        return Tensor._result(out_data, (self, other), vjp)
 
     # -- shape ops ----------------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        a = self
-        out_data = a.data.reshape(shape)
-        return Tensor._result(out_data, (a,), lambda g: (g.reshape(a.shape),))
+        a_shape = self.shape
+        out_data = self.data.reshape(shape)
+        return Tensor._result(out_data, (self,), lambda g: (g.reshape(a_shape),))
 
     def transpose(self, axes: Sequence[int]) -> "Tensor":
-        a = self
         axes = tuple(axes)
         inv = tuple(np.argsort(axes))
-        out_data = a.data.transpose(axes)
-        return Tensor._result(out_data, (a,), lambda g: (g.transpose(inv),))
+        out_data = self.data.transpose(axes)
+        return Tensor._result(out_data, (self,), lambda g: (g.transpose(inv),))
 
     def __getitem__(self, key) -> "Tensor":
-        a = self
-        out_data = a.data[key]
+        a_shape, a_dtype = self.shape, self.data.dtype
+        out_data = self.data[key]
         if not isinstance(out_data, np.ndarray):
             out_data = np.asarray(out_data)
 
         def vjp(g):
-            buf = np.zeros_like(a.data)
+            buf = np.zeros(a_shape, dtype=a_dtype)
             buf[key] += g
             return (buf,)
 
-        return Tensor._result(out_data, (a,), vjp)
+        return Tensor._result(out_data, (self,), vjp)
 
     def pad(self, pad_width: Sequence[tuple[int, int]]) -> "Tensor":
         """Zero-pad; ``pad_width`` is one (before, after) pair per axis."""
-        a = self
         pad_width = tuple((int(lo), int(hi)) for lo, hi in pad_width)
-        if len(pad_width) != a.ndim:
-            raise ValueError(f"pad expects {a.ndim} (before, after) pairs, got {len(pad_width)}")
-        out_data = np.pad(a.data, pad_width)
-        crop = tuple(slice(lo, lo + n) for (lo, _), n in zip(pad_width, a.shape))
-        return Tensor._result(out_data, (a,), lambda g: (g[crop],))
+        if len(pad_width) != self.ndim:
+            raise ValueError(f"pad expects {self.ndim} (before, after) pairs, "
+                             f"got {len(pad_width)}")
+        out_data = np.pad(self.data, pad_width)
+        crop = tuple(slice(lo, lo + n) for (lo, _), n in zip(pad_width, self.shape))
+        return Tensor._result(out_data, (self,), lambda g: (g[crop],))
 
     # -- reductions & elementwise ---------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        a = self
-        out_data = a.data.sum(axis=axis, keepdims=keepdims)
+        a_shape = self.shape
+        out_data = self.data.sum(axis=axis, keepdims=keepdims)
         if not isinstance(out_data, np.ndarray):
             out_data = np.asarray(out_data)
 
         def vjp(g):
             if axis is None:
-                return (np.broadcast_to(g, a.shape).copy(),)
+                return (np.broadcast_to(g, a_shape).copy(),)
             axes = axis if isinstance(axis, tuple) else (axis,)
             if not keepdims:
                 g = np.expand_dims(g, axes)
-            return (np.broadcast_to(g, a.shape).copy(),)
+            return (np.broadcast_to(g, a_shape).copy(),)
 
-        return Tensor._result(out_data, (a,), vjp)
+        return Tensor._result(out_data, (self,), vjp)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         a = self
@@ -228,14 +262,12 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     def exp(self) -> "Tensor":
-        a = self
-        out_data = np.exp(a.data)
-        return Tensor._result(out_data, (a,), lambda g: (g * out_data,))
+        out_data = np.exp(self.data)
+        return Tensor._result(out_data, (self,), lambda g: (g * out_data,))
 
     def log(self) -> "Tensor":
-        a = self
-        out_data = np.log(a.data)
-        return Tensor._result(out_data, (a,), lambda g: (g / a.data,))
+        a_data = self.data
+        return Tensor._result(np.log(a_data), (self,), lambda g: (g / a_data,))
 
 
 class Parameter(Tensor):
@@ -270,10 +302,11 @@ def take(t: Tensor, indices: np.ndarray) -> Tensor:
     indices = np.asarray(indices)
     if indices.dtype.kind not in "iu":
         raise ValueError("take expects integer indices")
+    t_shape, t_dtype = t.shape, t.data.dtype
     out_data = t.data[indices]
 
     def vjp(g):
-        buf = np.zeros_like(t.data)
+        buf = np.zeros(t_shape, dtype=t_dtype)
         np.add.at(buf, indices, g)
         return (buf,)
 
@@ -282,12 +315,13 @@ def take(t: Tensor, indices: np.ndarray) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian Error Linear Unit, exact erf form."""
-    cdf = 0.5 * (1.0 + _erf(x.data * _INV_SQRT2))
-    out_data = x.data * cdf
+    x_data = x.data
+    cdf = 0.5 * (1.0 + _erf(x_data * _INV_SQRT2))
+    out_data = x_data * cdf
 
     def vjp(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
-        return (g * (cdf + x.data * pdf),)
+        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x_data * x_data)
+        return (g * (cdf + x_data * pdf),)
 
     return Tensor._result(out_data, (x,), vjp)
 
@@ -304,13 +338,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     var = np.mean(centered * centered, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
-    out_data = xhat * gamma.data + beta.data
+    gamma_data = gamma.data
+    out_data = xhat * gamma_data + beta.data
 
     def vjp(g):
         lead = tuple(range(g.ndim - 1))
         dgamma = (g * xhat).sum(axis=lead)
         dbeta = g.sum(axis=lead)
-        dxhat = g * gamma.data
+        dxhat = g * gamma_data
         dx = inv * (
             dxhat
             - dxhat.mean(axis=-1, keepdims=True)
@@ -321,23 +356,24 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return Tensor._result(out_data, (x, gamma, beta), vjp)
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    """Children-before-parents ordering of the graph reachable from ``root``."""
-    order: list[Tensor] = []
+def _topo_order(root) -> list:
+    """Children-before-parents ordering of the nodes and leaves reachable from ``root``."""
+    order: list = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[Any, bool]] = [(root, False)]
     while stack:
-        node, expanded = stack.pop()
+        item, expanded = stack.pop()
         if expanded:
-            order.append(node)
+            order.append(item)
             continue
-        if id(node) in visited:
+        if id(item) in visited:
             continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in visited:
-                stack.append((parent, False))
+        visited.add(id(item))
+        stack.append((item, True))
+        if isinstance(item, _Node):
+            for parent in item.parents:
+                if parent is not None and id(parent) not in visited:
+                    stack.append((parent, False))
     return order
 
 
@@ -349,18 +385,18 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
-    order = _topo_order(loss)
-    flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
-        g = flowing.pop(id(node), None)
+    root = loss if loss._node is None else loss._node
+    flowing: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
+    for item in reversed(_topo_order(root)):
+        g = flowing.pop(id(item), None)
         if g is None:
             continue
-        if node._vjp is None:
-            if node.requires_grad:
-                node.grad = g.copy() if node.grad is None else node.grad + g
+        if isinstance(item, Tensor):
+            if item.requires_grad:
+                item.grad = g.copy() if item.grad is None else item.grad + g
             continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
-            if pg is None or not parent.requires_grad:
+        for parent, pg in zip(item.parents, item.vjp(g)):
+            if pg is None or parent is None:
                 continue
             acc = flowing.get(id(parent))
             flowing[id(parent)] = pg if acc is None else acc + pg

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .checkpoint import save_checkpoint
+from .checkpoint import atomic_open, save_checkpoint
 from .model import GswinModel
 from .tensor import Parameter, Tensor, backward, no_grad, take
 
@@ -55,6 +55,9 @@ def lr_at(step: int, config: TrainConfig) -> float:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Values per AdamW block: the block's parameter, gradient, moments and
+# temporaries (about 7 x 256 KB) stay in L2 while it is updated.
+ADAM_BLOCK = 1 << 15
 
 
 def adamw_step(params: list[Parameter], grads: list[np.ndarray],
@@ -78,20 +81,29 @@ def adamw_step(params: list[Parameter], grads: list[np.ndarray],
         if g.shape != p.shape:
             raise ValueError(f"{p.name}: gradient shape {g.shape} != param shape {p.shape}")
         if p.name not in state:
-            state[p.name] = {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data)}
-        m, v = state[p.name]["m"], state[p.name]["v"]
-        if decay and config.weight_decay:
-            p.data *= 1.0 - lr_t * config.weight_decay
-        # In place, in the order of the textbook form, so each value rounds as
-        # in p -= lr_t * (m / b1c) / (sqrt(v / b2c) + eps).
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        step = m / b1c
-        step *= lr_t
-        step /= np.sqrt(v / b2c) + ADAM_EPS
-        p.data -= step
+            state[p.name] = {"m": np.zeros(p.shape, p.data.dtype),
+                             "v": np.zeros(p.shape, p.data.dtype)}
+        if not p.data.flags.c_contiguous:
+            p.data = np.ascontiguousarray(p.data)
+        # Flat views, so the blocks below update the arrays themselves.
+        pf, gf = p.data.reshape(-1), np.ascontiguousarray(g).reshape(-1)
+        mf, vf = state[p.name]["m"].reshape(-1), state[p.name]["v"].reshape(-1)
+        decay_f = 1.0 - lr_t * config.weight_decay if decay and config.weight_decay else None
+        for lo in range(0, pf.size, ADAM_BLOCK):
+            s = slice(lo, lo + ADAM_BLOCK)
+            pb, gb, m, v = pf[s], gf[s], mf[s], vf[s]
+            if decay_f is not None:
+                pb *= decay_f
+            # In place, in the order of the textbook form, so each value rounds
+            # as in p -= lr_t * (m / b1c) / (sqrt(v / b2c) + eps).
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * gb
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (gb * gb)
+            step = m / b1c
+            step *= lr_t
+            step /= np.sqrt(v / b2c) + ADAM_EPS
+            pb -= step
     return state
 
 
@@ -187,7 +199,9 @@ def train(model: GswinModel, task: SyntheticTask, config: TrainConfig,
 
     With ``out_dir`` set, writes metrics.csv (step, lr, train_loss, eval_acc)
     and a final checkpoint. ``on_eval`` is invoked after each evaluation with
-    (step, lr, train_loss, eval_acc). Aborts on non-finite loss.
+    (step, lr, train_loss, eval_acc). Raises ``RuntimeError`` on a non-finite
+    loss, or on a non-finite gradient, naming the first such parameter; both
+    stop the run before the update.
     """
     if model.config.num_classes != task.classes:
         raise ValueError(f"model has {model.config.num_classes} classes, "
@@ -218,6 +232,11 @@ def train(model: GswinModel, task: SyntheticTask, config: TrainConfig,
         # own while this one is still alive.
         del logits, loss
         grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
+        for p, g in zip(params, grads):
+            # Any NaN or inf reaches g.g, a fast BLAS pass; the elementwise
+            # scan only tells an overflow of finite squares apart.
+            if not math.isfinite(np.vdot(g, g)) and not np.isfinite(g).all():
+                raise RuntimeError(f"non-finite gradient at step {t} in {p.name}")
         adamw_step(params, grads, state, t, config, decay_mask=mask)
 
         history.steps.append(t)
@@ -234,7 +253,7 @@ def train(model: GswinModel, task: SyntheticTask, config: TrainConfig,
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         eval_at = dict(zip(history.eval_steps, history.eval_accs))
-        with open(out / "metrics.csv", "w", newline="") as f:
+        with atomic_open(out / "metrics.csv", "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["step", "lr", "train_loss", "eval_acc"])
             for step, lr, loss_v in zip(history.steps, history.lrs, history.losses):

@@ -246,6 +246,18 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.allclose(p.data.astype(np.float32), q.data.astype(np.float32))
 
 
+def test_checkpoint_save_that_fails_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, tiny_model(seed=3))
+    old = path.read_bytes()
+    m = tiny_model(seed=4)
+    m.parameters()[-1].name = "\ud800"  # cannot be encoded: raises after earlier params
+    with pytest.raises(UnicodeEncodeError):
+        save_checkpoint(path, m)
+    assert path.read_bytes() == old
+    assert [f.name for f in tmp_path.iterdir()] == ["m.ckpt"]
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOPE" + b"\x00" * 16)

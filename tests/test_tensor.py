@@ -1,4 +1,6 @@
 """Autodiff engine: every primitive against central finite differences."""
+import weakref
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from gswin.tensor import (
     no_grad,
     take,
 )
-from gswin.gradcheck import check_gradients, max_rel_err, numerical_grad
+from gswin.gradcheck import check_gradients, max_rel_err, numerical_grad, op_gradcheck_suite
 
 RNG = np.random.default_rng(0)
 
@@ -219,3 +221,59 @@ def test_numerical_grad_matches_closed_form():
     a = Tensor(np.array([1.0, 2.0, -0.5]), requires_grad=True)
     num = numerical_grad(lambda: (a * a).sum(), a)
     assert np.allclose(num, 2 * a.data, atol=1e-6)
+
+
+# -- graph nodes hold no values ---------------------------------------------
+
+
+def test_value_no_vjp_reads_is_freed_while_the_graph_lives():
+    x, w, b = randt(4, 3), randt(3, 5), randt(5)
+    h = x @ w  # the bias add's vjp reads only shapes
+    out = (h + b).sum()
+    freed = weakref.ref(h.data)
+    del h
+    assert freed() is None
+    backward(out)
+    x2, w2, b2 = (Tensor(t.data, requires_grad=True) for t in (x, w, b))
+    kept = x2 @ w2
+    backward((kept + b2).sum())
+    for t, ref in ((x, x2), (w, w2), (b, b2)):
+        assert np.array_equal(t.grad, ref.grad)
+
+
+@pytest.mark.parametrize("const_first", [False, True])
+def test_mul_by_constant_keeps_no_reference_to_the_other_operand(const_first):
+    x, w = randt(3, 4), randt(4, 2)
+    mask = Tensor(np.array([[0.0], [2.0], [2.0]]))
+    y = x @ w
+    z = mask * y if const_first else y * mask
+    freed = weakref.ref(y.data)
+    del y
+    assert freed() is None
+    grads = z._vjp(np.ones(z.shape))
+    assert grads[0 if const_first else 1] is None  # the constant gets no gradient
+    backward(z.sum())
+    assert np.array_equal(x.grad, (np.ones((3, 2)) * mask.data) @ w.data.T)
+
+
+def test_reassigned_vjp_is_what_backward_calls():
+    a = randt(3)
+    out = a * 2.0
+    inner, calls = out._vjp, []
+
+    def spy(g):
+        calls.append(g.shape)
+        return tuple(None if pg is None else 10.0 * pg for pg in inner(g))
+
+    out._vjp = spy
+    assert out._vjp is spy
+    backward(out.sum())
+    assert calls == [(3,)]
+    assert np.array_equal(a.grad, np.full(3, 20.0))
+
+
+def test_every_primitive_passes_the_gradcheck_suite():
+    results = dict(op_gradcheck_suite(seed=1))
+    assert {"add", "mul", "matmul", "reshape", "transpose", "getitem", "pad", "sum",
+            "exp", "log", "gelu", "layer_norm", "concatenate", "take"} <= set(results)
+    assert max(results.values()) < 1e-5

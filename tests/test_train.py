@@ -1,16 +1,20 @@
 """Optimizer, schedule, loss, synthetic task, and loop determinism."""
+import csv
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import gswin.train as gtrain
 from gswin.gradcheck import check_gradients
 from gswin.model import GswinModel, ModelConfig
 from gswin.tensor import Parameter, Tensor
 from gswin.train import (
     ADAM_BETA1,
     ADAM_BETA2,
+    ADAM_BLOCK,
     ADAM_EPS,
     TrainConfig,
     SyntheticTask,
@@ -119,15 +123,17 @@ def test_adamw_three_step_scalar_recurrence():
 def test_adamw_updates_in_place_bit_identical_to_out_of_place_formula():
     rng = np.random.default_rng(5)
     cfg = TrainConfig(lr=0.05, weight_decay=0.1, warmup_steps=2, total_steps=10)
-    shapes = [(3, 4), (4,), (2, 2, 3)]
-    mask = [True, False, True]
+    # the last parameter spans 2.5 update blocks and gets a transposed gradient
+    shapes = [(3, 4), (4,), (2, 2, 3), (5, ADAM_BLOCK // 2)]
+    mask = [True, False, True, True]
     params = [Parameter(rng.standard_normal(s), f"p{i}") for i, s in enumerate(shapes)]
     ref = [p.data.copy() for p in params]
     ref_m = [np.zeros(s) for s in shapes]
     ref_v = [np.zeros(s) for s in shapes]
     state = {}
     for t in range(1, 6):
-        grads = [rng.standard_normal(s) for s in shapes]
+        grads = [rng.standard_normal(s) for s in shapes[:-1]]
+        grads.append(rng.standard_normal(shapes[-1][::-1]).T)
         sent = [g.copy() for g in grads]
         adamw_step(params, grads, state, t, cfg, decay_mask=mask)
         if t == 1:
@@ -296,6 +302,47 @@ def test_train_aborts_on_divergence():
                       eval_every=2, seed=0)
     with pytest.raises(RuntimeError, match="diverged"):
         train(model, micro_task(), cfg)
+
+
+def test_train_stops_on_non_finite_gradient_naming_the_first(monkeypatch):
+    model = GswinModel(MICRO, seed=0)
+    first, later = "stages.1.blocks.0.proj_in.w", "head.fc.w"
+    real_backward = gtrain.backward
+
+    def planted(loss):
+        real_backward(loss)
+        model.param(later).grad.flat[0] = np.nan
+        model.param(first).grad.flat[-1] = np.inf
+
+    monkeypatch.setattr(gtrain, "backward", planted)
+    before = {p.name: p.data.copy() for p in model.parameters()}
+    cfg = TrainConfig(lr=1e-3, warmup_steps=0, total_steps=2, batch_size=4, eval_every=2)
+    with pytest.raises(RuntimeError, match=f"step 1 in {re.escape(first)}$"):
+        train(model, micro_task(), cfg)
+    assert all(np.array_equal(p.data, before[p.name]) for p in model.parameters())
+
+
+def test_metrics_write_that_fails_keeps_the_previous_file(tmp_path, monkeypatch):
+    cfg = TrainConfig(lr=1e-3, warmup_steps=1, total_steps=4, batch_size=4, eval_every=2)
+    train(GswinModel(MICRO, seed=0), micro_task(), cfg, out_dir=tmp_path)
+    old = (tmp_path / "metrics.csv").read_bytes()
+    real_writer = csv.writer
+
+    class Failing:
+        def __init__(self, f):
+            self.inner, self.rows = real_writer(f), 0
+
+        def writerow(self, row):
+            if self.rows == 2:
+                raise OSError("disk full")
+            self.rows += 1
+            self.inner.writerow(row)
+
+    monkeypatch.setattr(gtrain.csv, "writer", Failing)
+    with pytest.raises(OSError, match="disk full"):
+        train(GswinModel(MICRO, seed=1), micro_task(), cfg, out_dir=tmp_path)
+    assert (tmp_path / "metrics.csv").read_bytes() == old
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["final.ckpt", "metrics.csv"]
 
 
 def test_train_writes_metrics_and_checkpoint(tmp_path):
