@@ -26,7 +26,7 @@ import numpy as np
 from .model import GswinModel, ModelConfig
 from .sgu import materialize_relative_bias
 from .tensor import Tensor
-from .windows import axis_runs, pad_widths, shift_offset
+from .windows import pad_widths, shift_offset
 
 FLOPS_PER_LN_ELEMENT = 5
 CONVENTION = "1 MAC = 1 FLOP; biases, gates, GELU (1/elt) and LayerNorm (5/elt) counted"
@@ -91,22 +91,33 @@ def enumerate_params(model: GswinModel) -> dict[str, int]:
     return per
 
 
+def band_extents(extent: int, window: int, origin: int) -> list[int]:
+    """Token extents of the bands a tiling cuts one axis into, without padding.
+
+    ``origin`` is where the first whole window starts, in [0, window); a
+    nonzero origin leaves a leading partial band, and a remainder a trailing one.
+    """
+    if not 0 <= origin < window <= extent:
+        raise ValueError(f"window {window} at origin {origin} does not fit axis extent {extent}")
+    full, tail = divmod(extent - origin, window)
+    return [e for e in [origin] + [window] * full + [tail] if e]
+
+
 def _sgu_window_sums(H: int, W: int, window: tuple[int, int],
                      shifted: bool, strategy: str) -> tuple[int, int]:
-    """(sum of squared window token counts, sum of window token counts)."""
-    h, w = window
-    oy, ox = shift_offset(window, shifted)
-    if (oy, ox) == (0, 0):
-        shifted = False
-    if strategy == "zero-padding" and shifted:
+    """(sum of squared window token counts, sum of window token counts).
+
+    Without padding a window holds e_r * e_c tokens for its row and column
+    bands, so the squared sum factors per axis and the token sum is H * W.
+    """
+    (h, w), (oy, ox) = window, shift_offset(window, shifted)
+    if strategy == "zero-padding" and (oy, ox) != (0, 0):
         top, bottom, left, right = pad_widths((H, W), window, (oy, ox))
         Hp, Wp = top + H + bottom, left + W + right
         return (Hp // h) * (Wp // w) * (h * w) ** 2, Hp * Wp
-    rows = axis_runs(H, h, oy)
-    cols = axis_runs(W, w, ox)
-    sq = sum(r.count * c.count * (r.extent * c.extent) ** 2 for r in rows for c in cols)
-    toks = sum(r.count * c.count * r.extent * c.extent for r in rows for c in cols)
-    return sq, toks
+    rows = sum(e * e for e in band_extents(H, h, oy))
+    cols = sum(e * e for e in band_extents(W, w, ox))
+    return rows * cols, H * W
 
 
 def count_flops(config: ModelConfig, resolution: int, strategy: str) -> CostReport:

@@ -3,7 +3,9 @@
 Checkpoint layout (little-endian throughout):
 
     magic  b"GSWN"
-    u8     format version (currently 1)
+    u8     format version (currently 2)
+    u32    config byte length, followed by the model config as UTF-8
+           ``key = value`` lines, the text a config file holds
     u32    parameter count
     then per parameter:
     u16    name byte length, followed by the UTF-8 name
@@ -11,20 +13,24 @@ Checkpoint layout (little-endian throughout):
     f32    raw values, row-major
 
 Values are stored at 32-bit precision regardless of the in-memory dtype.
+Version-1 files carried no config and are rejected.
 """
 from __future__ import annotations
 
 import os
 import struct
+import typing
 from contextlib import contextmanager
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
 
+from .analysis import count_params
 from .model import GswinModel, ModelConfig, PRESETS
 
 MAGIC = b"GSWN"
-VERSION = 1
+VERSION = 2
 
 
 @contextmanager
@@ -47,9 +53,12 @@ def atomic_open(path: str | Path, mode: str = "wb", **kwargs):
 
 def save_checkpoint(path: str | Path, model: GswinModel) -> None:
     params = model.parameters()
+    config = format_config(model.config).encode("utf-8")
     with atomic_open(path, "wb") as f:
         f.write(MAGIC)
-        f.write(struct.pack("<BI", VERSION, len(params)))
+        f.write(struct.pack("<BI", VERSION, len(config)))
+        f.write(config)
+        f.write(struct.pack("<I", len(params)))
         for p in params:
             name = p.name.encode("utf-8")
             f.write(struct.pack("<H", len(name)))
@@ -60,10 +69,16 @@ def save_checkpoint(path: str | Path, model: GswinModel) -> None:
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a checkpoint back as name -> float32 array.
+    """Read a checkpoint's parameters back as name -> float32 array."""
+    return read_checkpoint(path)[1]
 
-    A file that is not a checkpoint, or is cut short anywhere, raises
-    ``ValueError`` naming the path and the byte offset.
+
+def read_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
+    """Read a checkpoint back as its model config and name -> float32 array.
+
+    A file that is not a checkpoint, is cut short anywhere, or holds a config
+    that does not parse or does not match the parameter count raises
+    ``ValueError`` naming the path.
     """
     blob = Path(path).read_bytes()
     if blob[:4] != MAGIC:
@@ -79,9 +94,16 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
         off += nbytes
         return view[off - nbytes:off]
 
-    version, count = struct.unpack("<BI", read(5, "header"))
+    version, config_len = struct.unpack("<BI", read(5, "header"))
     if version != VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    config_bytes = bytes(read(config_len, "config"))
+    try:
+        config = model_config_from_mapping(
+            parse_config_text(config_bytes.decode("utf-8"), "config"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    (count,) = struct.unpack("<I", read(4, "parameter count"))
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         (nlen,) = struct.unpack("<H", read(2, "name length"))
@@ -92,7 +114,11 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
         out[name] = np.frombuffer(read(4 * n, f"{name} values"), dtype="<f4").reshape(shape).copy()
     if off != len(blob):
         raise ValueError(f"{path}: {len(blob) - off} trailing bytes")
-    return out
+    # before anyone builds the model, so a hostile config allocates nothing
+    expected, stored = count_params(config).total_params, sum(a.size for a in out.values())
+    if expected != stored:
+        raise ValueError(f"{path}: config describes {expected} parameters, file holds {stored}")
+    return config, out
 
 
 def apply_checkpoint(model: GswinModel, arrays: dict[str, np.ndarray]) -> None:
@@ -110,54 +136,10 @@ def apply_checkpoint(model: GswinModel, arrays: dict[str, np.ndarray]) -> None:
         raise ValueError(f"checkpoint has unknown parameters: {sorted(names)[:3]}...")
 
 
-def infer_config_from_arrays(arrays: dict[str, np.ndarray],
-                             image_size: int = 224) -> ModelConfig:
-    """Reconstruct a ModelConfig from checkpoint parameter names and shapes.
-
-    The image size is not stored in checkpoints; the caller may override it
-    (it only affects grid construction, not parameter shapes).
-    """
-    if "patch_embed.proj.w" not in arrays:
-        raise ValueError("checkpoint lacks patch_embed.proj.w; cannot infer config")
-    C = arrays["patch_embed.proj.w"].shape[1]
-    depths = []
-    for s in range(4):
-        d = 0
-        while f"stages.{s}.blocks.{d}.norm.gamma" in arrays:
-            d += 1
-        if d == 0:
-            raise ValueError(f"checkpoint has no blocks in stage {s}")
-        depths.append(d)
-    w0 = arrays["stages.0.blocks.0.sgu.w_win"]
-    heads = w0.shape[2]
-    dim0 = arrays["stages.0.blocks.0.proj_in.w"].shape[0]
-    hidden0 = arrays["stages.0.blocks.0.proj_in.w"].shape[1]
-    expansion = hidden0 // dim0
-    num_classes = arrays["head.fc.w"].shape[1]
-    rel_bias = "stages.0.blocks.0.sgu.rel_table" in arrays
-    # stage-1 window may have been clamped below the nominal one; pick the
-    # smallest nominal window consistent with every stage's stored extent
-    base = image_size // 4
-    win = None
-    for s in range(4):
-        T = arrays[f"stages.{s}.blocks.0.sgu.w_win"].shape[0]
-        side = int(round(T ** 0.5))
-        if side * side != T:
-            raise ValueError(f"stage-{s} window of {T} tokens is not square")
-        res = base >> s
-        if side < res:
-            win = side if win is None else max(win, side)
-    if win is None:
-        win = base  # every stage clamped to its full map
-    return ModelConfig(base_channels=C, depths=tuple(depths), heads=heads,
-                       window=(win, win), expansion=expansion,
-                       num_classes=num_classes, image_size=image_size,
-                       rel_bias=rel_bias)
-
-
-def model_from_checkpoint(path: str | Path, image_size: int = 224) -> GswinModel:
-    arrays = load_checkpoint(path)
-    model = GswinModel(infer_config_from_arrays(arrays, image_size=image_size))
+def model_from_checkpoint(path: str | Path) -> GswinModel:
+    """Rebuild the model a checkpoint was saved from, config and values."""
+    config, arrays = read_checkpoint(path)
+    model = GswinModel(config)
     apply_checkpoint(model, arrays)
     return model
 
@@ -165,59 +147,84 @@ def model_from_checkpoint(path: str | Path, image_size: int = 224) -> GswinModel
 # -- config files -------------------------------------------------------------
 
 
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Parse `key = value` lines; '#' starts a comment, blank lines ignored."""
+def parse_config_text(text: str, source: str) -> dict[str, str]:
+    """Parse `key = value` lines; '#' starts a comment, blank lines ignored.
+
+    Errors name ``source`` and the line number.
+    """
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
+            raise ValueError(f"{source}:{lineno}: expected key = value, got {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip()
         if not key or key in out:
-            raise ValueError(f"{path}:{lineno}: bad or duplicate key {key!r}")
+            raise ValueError(f"{source}:{lineno}: bad or duplicate key {key!r}")
         out[key] = value.strip()
     return out
 
 
-MODEL_KEYS = {
-    "model", "base_channels", "depths", "heads", "window", "expansion",
-    "drop_path_rate", "num_classes", "image_size", "rel_bias",
-}
+def parse_config_file(path: str | Path) -> dict[str, str]:
+    return parse_config_text(Path(path).read_text(encoding="utf-8"), str(path))
+
+
+def format_config(config) -> str:
+    """A dataclass config as the `key = value` lines :func:`typed_fields` reads."""
+    lines = []
+    for f in fields(config):
+        value = getattr(config, f.name)
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        lines.append(f"{f.name} = {text}\n")
+    return "".join(lines)
+
+
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_KINDS = {int: "an integer", float: "a number", bool: "true or false"}
+
+
+def typed_fields(cls, kv: dict[str, str]) -> dict[str, object]:
+    """The values in ``kv`` of the fields of dataclass ``cls``, as field types.
+
+    Keys that are not fields are left out. Tuple fields read a comma list of
+    integers. A value that does not convert raises ``ValueError`` naming its key.
+    """
+    hints = typing.get_type_hints(cls)
+    out: dict[str, object] = {}
+    for f in fields(cls):
+        if f.name not in kv:
+            continue
+        kind, text = hints[f.name], kv[f.name]
+        try:
+            if kind is bool:
+                out[f.name] = _BOOLS[text.lower()]
+            elif typing.get_origin(kind) is tuple:
+                out[f.name] = tuple(int(v) for v in text.split(","))
+            else:
+                out[f.name] = kind(text)
+        except (KeyError, ValueError):
+            expected = _KINDS.get(kind, "comma-separated integers")
+            raise ValueError(f"{f.name} must be {expected}, got {text!r}") from None
+    return out
+
+
+MODEL_KEYS = {"model"} | {f.name for f in fields(ModelConfig)}
 
 
 def model_config_from_mapping(kv: dict[str, str]) -> ModelConfig:
-    """Build a ModelConfig from config-file keys, optionally from a preset base."""
-    base = None
+    """Build a ModelConfig from config-file keys, optionally over a preset base."""
+    unknown = set(kv) - MODEL_KEYS
+    if unknown:
+        raise ValueError(f"unknown model config keys: {sorted(unknown)}")
+    typed = typed_fields(ModelConfig, kv)
     if "model" in kv:
         name = kv["model"]
         if name not in PRESETS:
             raise ValueError(f"unknown model preset {name!r}; have {sorted(PRESETS)}")
-        base = PRESETS[name]
-    fields = {}
-    if base is not None:
-        fields = dict(base_channels=base.base_channels, depths=base.depths,
-                      heads=base.heads, window=base.window, expansion=base.expansion,
-                      drop_path_rate=base.drop_path_rate, num_classes=base.num_classes,
-                      image_size=base.image_size, rel_bias=base.rel_bias)
-    for key in ("base_channels", "heads", "expansion", "num_classes", "image_size"):
-        if key in kv:
-            fields[key] = int(kv[key])
-    if "depths" in kv:
-        fields["depths"] = tuple(int(v) for v in kv["depths"].split(","))
-    if "window" in kv:
-        parts = [int(v) for v in kv["window"].split(",")]
-        fields["window"] = (parts[0], parts[-1]) if len(parts) == 2 else (parts[0], parts[0])
-    if "drop_path_rate" in kv:
-        fields["drop_path_rate"] = float(kv["drop_path_rate"])
-    if "rel_bias" in kv:
-        val = kv["rel_bias"].lower()
-        if val not in ("true", "false", "1", "0", "yes", "no"):
-            raise ValueError(f"rel_bias must be boolean-like, got {kv['rel_bias']!r}")
-        fields["rel_bias"] = val in ("true", "1", "yes")
-    missing = {"base_channels", "depths", "heads"} - set(fields)
+        return replace(PRESETS[name], **typed)
+    missing = {f.name for f in fields(ModelConfig) if f.default is MISSING} - set(typed)
     if missing:
         raise ValueError(f"config is missing required keys: {sorted(missing)}")
-    return ModelConfig(**fields)
+    return ModelConfig(**typed)

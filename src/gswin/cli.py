@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from .analysis import (STRATEGIES, count_flops, count_params, export_weight_maps,
                        format_count)
 from .checkpoint import (MODEL_KEYS, model_config_from_mapping, model_from_checkpoint,
-                         parse_config_file)
+                         parse_config_file, typed_fields)
 from .gradcheck import check_gradients, op_gradcheck_suite
 from .model import DROP_PATH_RATES, PRESETS, GswinBlock, GswinModel, ModelConfig
 from .sgu import init_sgu_params, multi_head_window_sgu, zero_padding_shift_oracle
@@ -46,8 +47,6 @@ GRADCHECK_CONFIG = ModelConfig(base_channels=4, depths=(1, 1, 1, 1), heads=2,
                                window=(4, 4), expansion=2, num_classes=2,
                                image_size=32)
 
-_TRAIN_KEYS = {"lr", "weight_decay", "warmup_steps", "total_steps", "batch_size",
-               "label_smoothing", "seed", "eval_every"}
 _TASK_KEYS = {"train_size", "eval_size", "noise", "frequency", "task_seed"}
 
 
@@ -93,11 +92,7 @@ def _emit(payload: dict, as_json: bool) -> None:
 def _resolve_model(args) -> tuple[ModelConfig, str]:
     if args.model is not None:
         return PRESETS[args.model], args.model
-    mapping = parse_config_file(args.config)
-    unknown = set(mapping) - MODEL_KEYS
-    if unknown:
-        raise ValueError(f"unknown model config keys: {sorted(unknown)}")
-    return model_config_from_mapping(mapping), str(args.config)
+    return model_config_from_mapping(parse_config_file(args.config)), str(args.config)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -233,38 +228,23 @@ def _cmd_equiv(args) -> int:
     return EXIT_OK
 
 
-def _split_train_mapping(mapping: dict[str, str]) -> tuple[dict, dict, dict]:
-    unknown = set(mapping) - MODEL_KEYS - _TRAIN_KEYS - _TASK_KEYS
-    if unknown:
-        raise ValueError(f"unknown train config keys: {sorted(unknown)}")
-    model_kv = {k: v for k, v in mapping.items() if k in MODEL_KEYS}
-    train_kv = {k: v for k, v in mapping.items() if k in _TRAIN_KEYS}
-    task_kv = {k: v for k, v in mapping.items() if k in _TASK_KEYS}
-    return model_kv, train_kv, task_kv
-
-
 def _cmd_train(args) -> int:
     mapping = parse_config_file(args.config)
-    model_kv, train_kv, task_kv = _split_train_mapping(mapping)
-    model_config = model_config_from_mapping(model_kv)
-
-    tc_fields = {}
-    for key in ("warmup_steps", "total_steps", "batch_size", "eval_every", "seed"):
-        if key in train_kv:
-            tc_fields[key] = int(train_kv[key])
-    for key in ("lr", "weight_decay", "label_smoothing"):
-        if key in train_kv:
-            tc_fields[key] = float(train_kv[key])
-    tc_fields.setdefault("seed", _default_seed())
-    train_config = TrainConfig(**tc_fields)
+    unknown = set(mapping) - MODEL_KEYS - {f.name for f in fields(TrainConfig)} - _TASK_KEYS
+    if unknown:
+        raise ValueError(f"unknown train config keys: {sorted(unknown)}")
+    model_config = model_config_from_mapping(
+        {k: v for k, v in mapping.items() if k in MODEL_KEYS})
+    train_config = TrainConfig(**{"seed": _default_seed(),
+                                  **typed_fields(TrainConfig, mapping)})
 
     task_fields = {"classes": model_config.num_classes,
                    "image_size": model_config.image_size,
-                   "seed": int(task_kv.get("task_seed", 0)),
-                   "train_size": int(task_kv.get("train_size", 512)),
-                   "eval_size": int(task_kv.get("eval_size", 256)),
-                   "noise": float(task_kv.get("noise", 0.25)),
-                   "frequency": float(task_kv.get("frequency", 4.0))}
+                   "seed": int(mapping.get("task_seed", 0)),
+                   "train_size": int(mapping.get("train_size", 512)),
+                   "eval_size": int(mapping.get("eval_size", 256)),
+                   "noise": float(mapping.get("noise", 0.25)),
+                   "frequency": float(mapping.get("frequency", 4.0))}
     task = SyntheticTask(**task_fields)
 
     model = GswinModel(model_config, seed=train_config.seed)
@@ -292,7 +272,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_export_weights(args) -> int:
-    model = model_from_checkpoint(args.ckpt, image_size=args.res)
+    model = model_from_checkpoint(args.ckpt)
     prefix = args.out or f"weights_s{args.stage}_l{args.layer}_h{args.head}"
     csv_path, pgm_path = export_weight_maps(model, args.stage, args.layer,
                                             args.head, prefix)
@@ -367,8 +347,6 @@ def build_parser() -> _Parser:
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--layer", type=int, required=True)
     p.add_argument("--head", type=int, required=True)
-    p.add_argument("--res", type=int, default=224,
-                   help="input resolution the checkpoint was built for")
     p.add_argument("--out", default=None, help="output path prefix")
 
     add("presets", _cmd_presets, "list built-in configurations")

@@ -115,7 +115,6 @@ def op_gradcheck_suite(seed: int = 0, tol: float = 1e-5) -> list[tuple[str, floa
         ("log", lambda: pos.log().sum(), (pos,)),
         ("gelu", lambda: T.gelu(a).sum(), (a,)),
         ("layer_norm", lambda: (T.layer_norm(ln_x, gamma, beta) * 0.2).sum(), (ln_x, gamma, beta)),
-        ("concatenate", lambda: (T.concatenate([a, b, a * b], axis=1) * 0.4).sum(), (a, b)),
         ("take", lambda: (T.take(table, idx) * 0.6).sum(), (table,)),
     ]
     results = []

@@ -33,17 +33,22 @@ class ModelConfig:
     rel_bias: bool = True
 
     def __post_init__(self):
+        window = tuple(int(v) for v in self.window)
         object.__setattr__(self, "depths", tuple(int(d) for d in self.depths))
-        object.__setattr__(self, "window", (int(self.window[0]), int(self.window[1])))
+        object.__setattr__(self, "window", window * 2 if len(window) == 1 else window)
         if len(self.depths) != 4 or any(d < 1 for d in self.depths):
             raise ValueError(f"depths must be four positive counts, got {self.depths}")
+        if len(self.window) != 2 or min(self.window) < 1:
+            raise ValueError(f"window must be one or two positive extents, got {window}")
+        if self.base_channels < 1:
+            raise ValueError(f"base_channels must be >= 1, got {self.base_channels}")
         if self.expansion < 2 or self.expansion % 2:
             raise ValueError(f"expansion must be even and >= 2, got {self.expansion}")
         if self.heads < 1:
             raise ValueError("heads must be >= 1")
-        if self.image_size % 32:
-            raise ValueError(f"image size {self.image_size} must be divisible by 32 "
-                             "(4x patch embed, then three 2x merges)")
+        if self.image_size < 32 or self.image_size % 32:
+            raise ValueError(f"image_size {self.image_size} must be a positive multiple "
+                             "of 32 (4x patch embed, then three 2x merges)")
         if not 0.0 <= self.drop_path_rate <= 1.0:
             raise ValueError("drop_path_rate must lie in [0, 1]")
         if self.num_classes < 1:
@@ -125,15 +130,10 @@ class GswinBlock:
                  heads: int, expansion: int, shifted: bool, p_drop: float,
                  rel_bias: bool, prefix: str, rng: np.random.Generator, dtype):
         self.dim = dim
-        self.shifted = shifted
         self.p_drop = p_drop
         hidden = expansion * dim
         self.gate_channels = hidden // 2
-
-        offset = shift_offset(window, shifted)
-        if offset == (0, 0):
-            self.shifted = False  # window too small to shift
-        self.grid = WindowGrid(resolution, window, offset=offset)
+        self.grid = WindowGrid(resolution, window, offset=shift_offset(window, shifted))
 
         self.norm_g = Parameter(np.ones(dim), f"{prefix}.norm.gamma", dtype=dtype)
         self.norm_b = Parameter(np.zeros(dim), f"{prefix}.norm.beta", dtype=dtype)

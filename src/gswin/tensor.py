@@ -286,17 +286,6 @@ class Parameter(Tensor):
 # -- free functions ----------------------------------------------------------
 
 
-def concatenate(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    tensors = tuple(tensors)
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([t.shape[axis] for t in tensors])[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, offsets, axis=axis))
-
-    return Tensor._result(out_data, tensors, vjp)
-
-
 def take(t: Tensor, indices: np.ndarray) -> Tensor:
     """Gather rows of ``t`` along axis 0; gradients scatter-add back."""
     indices = np.asarray(indices)

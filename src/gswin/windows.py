@@ -5,31 +5,10 @@ every window is whole: a shifted tiling, whose first full window starts at
 offset (oy, ox), pads ``(h - oy) % h`` rows on top and ``(w - ox) % w``
 columns on the left, and every tiling pads the bottom and right up to a
 whole window. The gating unit then mixes one window batch per layer.
-
-The padding-free view of the same tiling survives in :func:`axis_runs`: each
-axis splits into bands, a partial band of extent e reusing the index slice
-[win - e, win) (leading) or [0, e) (trailing) of the full window. Cost
-accounting uses it to count what a padding-free executor would spend.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .tensor import Tensor
-
-
-@dataclass(frozen=True)
-class BandRun:
-    """A run of equal-extent bands along one axis."""
-
-    start: int   # first feature-map index covered by the run
-    count: int   # number of bands in the run
-    extent: int  # tokens per band
-    offset: int  # leading index into the window weight axis
-
-    @property
-    def stop(self) -> int:
-        return self.start + self.count * self.extent
 
 
 def _check_axis(extent: int, window: int, origin: int) -> None:
@@ -37,25 +16,6 @@ def _check_axis(extent: int, window: int, origin: int) -> None:
         raise ValueError(f"window {window} does not fit axis extent {extent}")
     if not 0 <= origin < window:
         raise ValueError(f"origin {origin} outside [0, {window})")
-
-
-def axis_runs(extent: int, window: int, origin: int) -> tuple[BandRun, ...]:
-    """Band decomposition of one axis.
-
-    ``origin`` is where the first full-pitch band starts; it must lie in
-    [0, window). A nonzero origin produces a leading partial band.
-    """
-    _check_axis(extent, window, origin)
-    runs: list[BandRun] = []
-    if origin:
-        runs.append(BandRun(start=0, count=1, extent=origin, offset=window - origin))
-    full = (extent - origin) // window
-    if full:
-        runs.append(BandRun(start=origin, count=full, extent=window, offset=0))
-    tail = (extent - origin) % window
-    if tail:
-        runs.append(BandRun(start=origin + full * window, count=1, extent=tail, offset=0))
-    return tuple(runs)
 
 
 def shift_offset(window: tuple[int, int], shifted: bool) -> tuple[int, int]:

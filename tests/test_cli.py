@@ -1,11 +1,13 @@
 """End-to-end checks of the command-line surface, invoked in-process."""
 import json
+import re
+import struct
 from dataclasses import replace
 
 import pytest
 
-from gswin.analysis import count_flops, count_params
-from gswin.checkpoint import save_checkpoint
+from gswin.analysis import count_flops, count_params, read_weight_csv
+from gswin.checkpoint import load_checkpoint, save_checkpoint
 from gswin.cli import run
 from gswin.model import PRESETS, GswinModel, ModelConfig
 
@@ -127,7 +129,7 @@ def test_gradcheck_ops_scope(capsys):
     assert run(["gradcheck", "--scope", "ops"]) == 0
     kv = _lines(capsys)
     assert kv["status"] == "ok"
-    assert int(kv["checks"]) == 18
+    assert int(kv["checks"]) == 17
     assert float(kv["worst_rel_err"]) < 1e-5
 
 
@@ -207,13 +209,12 @@ def test_train_then_export_weights(tmp_path, capsys):
     prefix = tmp_path / "maps"
     assert run(["export-weights", "--ckpt", str(out_dir / "final.ckpt"),
                 "--stage", "1", "--layer", "0", "--head", "1",
-                "--res", "32", "--out", str(prefix)]) == 0
+                "--out", str(prefix)]) == 0
     assert prefix.with_suffix(".csv").exists()
     assert prefix.with_suffix(".pgm").exists()
 
     assert run(["export-weights", "--ckpt", str(out_dir / "final.ckpt"),
-                "--stage", "1", "--layer", "0", "--head", "9",
-                "--res", "32"]) == 2
+                "--stage", "1", "--layer", "0", "--head", "9"]) == 2
 
 
 def test_train_unknown_key_is_validation_error(tmp_path):
@@ -248,7 +249,8 @@ def test_export_weights_truncated_checkpoint_is_validation_error(tmp_path, capsy
     full = tmp_path / "full.ckpt"
     save_checkpoint(full, model)
     first = model.parameters()[0]
-    name_at = 4 + 5 + 2  # magic, version + count, name length
+    (config_len,) = struct.unpack("<I", full.read_bytes()[5:9])
+    name_at = 4 + 5 + config_len + 4 + 2  # magic, version + config, count, name length
     shape_at = name_at + len(first.name.encode()) + 1
     values_at = shape_at + 4 * first.ndim
     ends = {"header": 5, "mid-name": name_at + 2, "mid-shape": shape_at + 2,
@@ -260,3 +262,66 @@ def test_export_weights_truncated_checkpoint_is_validation_error(tmp_path, capsy
     err = capsys.readouterr().err
     assert "truncated" in err and str(short) in err
     assert "Traceback" not in err
+
+
+def test_export_weights_rebuilds_a_rectangular_window_model_from_its_checkpoint(tmp_path):
+    model = GswinModel(ModelConfig(base_channels=8, depths=(1, 1, 1, 1), heads=2,
+                                   window=(4, 2), num_classes=4, image_size=64), seed=0)
+    ckpt = tmp_path / "final.ckpt"
+    save_checkpoint(ckpt, model)
+    prefix = tmp_path / "maps"
+    assert run(["export-weights", "--ckpt", str(ckpt), "--stage", "0", "--layer", "0",
+                "--head", "1", "--out", str(prefix)]) == 0
+    assert read_weight_csv(prefix.with_suffix(".csv")).shape == (8, 8)
+
+
+def _with_header(blob: bytes, config: bytes, config_len: int | None = None) -> bytes:
+    """``blob``, a version-2 checkpoint, with its config replaced."""
+    (old_len,) = struct.unpack("<I", blob[5:9])
+    length = len(config) if config_len is None else config_len
+    return blob[:4] + struct.pack("<BI", 2, length) + config + blob[9 + old_len:]
+
+
+@pytest.mark.parametrize("case", ["non-integer", "unknown-key", "length-past-end",
+                                  "non-utf8", "version-1", "wider-than-arrays"])
+def test_hostile_checkpoint_header_is_validation_error(tmp_path, capsys, case):
+    model = GswinModel(ModelConfig(base_channels=8, depths=(1, 1, 1, 1), heads=2,
+                                   window=(4, 4), num_classes=4, image_size=32), seed=0)
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(good, model)
+    blob = good.read_bytes()
+    (config_len,) = struct.unpack("<I", blob[5:9])
+    config = blob[9:9 + config_len]
+    params = blob[9 + config_len:]
+    bad, says = {
+        "non-integer": (_with_header(blob, config.replace(b"heads = 2", b"heads = 2.5")),
+                        "heads must be an integer"),
+        "unknown-key": (_with_header(blob, config + b"optimizer = sgd\n"), "optimizer"),
+        "length-past-end": (_with_header(blob, config, config_len=len(blob)), "truncated"),
+        "non-utf8": (_with_header(blob, config.replace(b"heads", b"he\xffds")), "utf-8"),
+        # version 1: the parameter count where the config length now sits
+        "version-1": (blob[:4] + struct.pack("<B", 1) + params, "version 1"),
+        "wider-than-arrays": (_with_header(blob, config.replace(b"base_channels = 8",
+                                                                b"base_channels = 4096")),
+                              "config describes"),
+    }[case]
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(bad)
+    with pytest.raises(ValueError, match=re.escape(str(path))) as info:
+        load_checkpoint(path)
+    assert says in str(info.value)
+    assert run(["export-weights", "--ckpt", str(path),
+                "--stage", "0", "--layer", "0", "--head", "0"]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [("base_channels", "0"), ("window", "4,5,6"),
+                                        ("image_size", "0"), ("heads", "two")])
+def test_count_config_bad_value_is_validation_error(tmp_path, capsys, key, value):
+    lines = {"base_channels": "8", "depths": "1,1,1,1", "heads": "2", key: value}
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+    assert run(["count", "--config", str(cfg)]) == 2
+    assert key in capsys.readouterr().err

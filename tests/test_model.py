@@ -4,16 +4,17 @@ import pytest
 
 from gswin.checkpoint import (
     apply_checkpoint,
-    infer_config_from_arrays,
     load_checkpoint,
     model_config_from_mapping,
     model_from_checkpoint,
     parse_config_file,
     save_checkpoint,
+    typed_fields,
 )
 from gswin.gradcheck import check_gradients
 from gswin.model import DROP_PATH_RATES, GswinBlock, GswinModel, ModelConfig, PRESETS, drop_path
 from gswin.tensor import Tensor
+from gswin.train import TrainConfig
 
 TINY = ModelConfig(base_channels=8, depths=(2, 2, 2, 2), heads=4, window=(4, 4),
                    num_classes=5, image_size=32, drop_path_rate=0.2)
@@ -67,6 +68,13 @@ def test_config_validation():
         ModelConfig(base_channels=8, depths=(2, 2, 2, 2), heads=5)  # 24 % 5 != 0
     with pytest.raises(ValueError):
         ModelConfig(base_channels=8, depths=(2, 2, 2, 2), heads=4, drop_path_rate=1.5)
+    for bad in ({"base_channels": 0}, {"base_channels": -8}, {"window": (0, 4)},
+                {"window": (4, -1)}, {"window": (4, 5, 6)}, {"window": ()},
+                {"image_size": 0}, {"image_size": -32}):
+        with pytest.raises(ValueError):
+            ModelConfig(**{"base_channels": 8, "depths": (2, 2, 2, 2), "heads": 4, **bad})
+    assert ModelConfig(base_channels=8, depths=(2, 2, 2, 2), heads=4,
+                       window=(5,)).window == (5, 5)
 
 
 def test_drop_path_schedule_linear():
@@ -276,18 +284,31 @@ def test_checkpoint_apply_rejects_mismatch(tmp_path):
 
 
 def test_config_inference_from_checkpoint(tmp_path):
-    m = tiny_model(seed=5)
+    # fields the parameter shapes cannot tell: a rectangular window, the input
+    # size, the drop-path rate and the absence of the relative-offset table
+    m = tiny_model(seed=5, window=(4, 2), image_size=64, drop_path_rate=0.3,
+                   rel_bias=False, expansion=4)
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, m)
-    cfg = infer_config_from_arrays(load_checkpoint(path), image_size=32)
-    assert cfg.base_channels == TINY.base_channels
-    assert cfg.depths == TINY.depths
-    assert cfg.heads == TINY.heads
-    assert cfg.window == TINY.window
-    assert cfg.num_classes == TINY.num_classes
-    assert cfg.rel_bias == TINY.rel_bias
-    m2 = model_from_checkpoint(path, image_size=32)
+    m2 = model_from_checkpoint(path)
+    assert m2.config == m.config
     assert m2.num_params() == m.num_params()
+
+
+@pytest.mark.parametrize("name", [*PRESETS, "smoke"])
+def test_checkpoint_header_round_trips_the_config(tmp_path, name):
+    # "smoke" is criterion 7's training config
+    config = PRESETS.get(name) or ModelConfig(base_channels=16, depths=(2, 2, 2, 2),
+                                              heads=4, window=(4, 4), num_classes=10,
+                                              image_size=32)
+    m = GswinModel(config, seed=2, dtype=np.float32)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, m)
+    m2 = model_from_checkpoint(path)
+    assert m2.config == config
+    assert [p.name for p in m2.parameters()] == [p.name for p in m.parameters()]
+    for p, q in zip(m.parameters(), m2.parameters()):
+        assert np.array_equal(q.data.astype(np.float32), p.data)
 
 
 def test_config_file_parsing(tmp_path):
@@ -312,6 +333,19 @@ rel_bias = false
         model_config_from_mapping({"model": "gswin-x"})
     with pytest.raises(ValueError):
         model_config_from_mapping({"base_channels": "8"})  # missing depths/heads
+    full = {"base_channels": "8", "depths": "1,1,1,1", "heads": "2", "image_size": "32"}
+    assert model_config_from_mapping({**full, "window": "4, 2"}).window == (4, 2)
+    for key, value in [("window", "4,5,6"), ("window", "0"), ("base_channels", "0"),
+                       ("image_size", "0"), ("heads", "two"), ("depths", "1,1,x,1"),
+                       ("drop_path_rate", "lots"), ("rel_bias", "maybe")]:
+        with pytest.raises(ValueError, match=key):
+            model_config_from_mapping({**full, key: value})
+    with pytest.raises(ValueError, match="unknown model config keys"):
+        model_config_from_mapping({**full, "optimizer": "sgd"})
+    assert typed_fields(TrainConfig, {"lr": "2e-3", "seed": "3", "noise": "x"}) == {
+        "lr": 2e-3, "seed": 3}
+    with pytest.raises(ValueError, match="total_steps"):
+        typed_fields(TrainConfig, {"total_steps": "1.5"})
 
 
 def test_config_file_full_specification(tmp_path):

@@ -2,11 +2,10 @@
 import numpy as np
 import pytest
 
+from gswin.analysis import band_extents
 from gswin.tensor import Tensor
 from gswin.windows import (
-    BandRun,
     WindowGrid,
-    axis_runs,
     pad_widths,
     shift_offset,
     window_partition,
@@ -15,33 +14,31 @@ from gswin.windows import (
 
 
 def test_axis_runs_uniform():
-    assert axis_runs(14, 7, 0) == (BandRun(0, 2, 7, 0),)
+    assert band_extents(14, 7, 0) == [7, 7]
 
 
 def test_axis_runs_shifted_standard():
-    # window 7, origin 3: partial 3 anchored at weight row 4, then full, tail 4
-    assert axis_runs(14, 7, 3) == (
-        BandRun(0, 1, 3, 4),
-        BandRun(3, 1, 7, 0),
-        BandRun(10, 1, 4, 0),
-    )
+    # window 7, origin 3: a leading partial band of 3, one whole window, a tail of 4
+    assert band_extents(14, 7, 3) == [3, 7, 4]
 
 
 def test_axis_runs_single_window_shifted():
-    assert axis_runs(7, 7, 3) == (BandRun(0, 1, 3, 4), BandRun(3, 1, 4, 0))
+    assert band_extents(7, 7, 3) == [3, 4]
 
 
 def test_axis_runs_trailing_partial():
-    assert axis_runs(10, 7, 0) == (BandRun(0, 1, 7, 0), BandRun(7, 1, 3, 0))
+    assert band_extents(10, 7, 0) == [7, 3]
 
 
 def test_axis_runs_errors():
     with pytest.raises(ValueError):
-        axis_runs(5, 7, 0)
+        band_extents(5, 7, 0)
     with pytest.raises(ValueError):
-        axis_runs(14, 7, 7)
+        band_extents(14, 7, 7)
     with pytest.raises(ValueError):
-        axis_runs(14, 7, -1)
+        band_extents(14, 7, -1)
+    with pytest.raises(ValueError):
+        band_extents(14, 0, 0)
 
 
 def test_shift_offset_half_window():
