@@ -8,12 +8,10 @@ materialization of effective mixing weights are not. Under this convention
 the spatial-mixing cost is independent of the head count (each token-mixing
 product touches every gate channel exactly once regardless of grouping).
 
-The "padding-free" strategy charges each window group its true token count
-(the paper's count); "zero-padding" charges shifted layers as if padded to
-uniform windows, with the pad widths of :func:`gswin.windows.pad_widths`.
-Unshifted layers cost the same under both. The model executes the
-zero-padding arithmetic: it costs more FLOPs, but one window batch per layer
-runs faster in numpy than up to nine separately sliced groups.
+Both strategies read a layer's geometry from its
+:class:`~gswin.windows.WindowGrid`. "padding-free" charges each window its
+true token count (the paper's count); "zero-padding" charges every window of
+the padded grid in full, which is the arithmetic the model executes.
 """
 from __future__ import annotations
 
@@ -24,9 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from .model import GswinModel, ModelConfig
-from .sgu import materialize_relative_bias
-from .tensor import Tensor
-from .windows import pad_widths, shift_offset
+from .sgu import effective_weight
+from .tensor import no_grad
+from .windows import WindowGrid, shift_offset
 
 FLOPS_PER_LN_ELEMENT = 5
 CONVENTION = "1 MAC = 1 FLOP; biases, gates, GELU (1/elt) and LayerNorm (5/elt) counted"
@@ -91,33 +89,18 @@ def enumerate_params(model: GswinModel) -> dict[str, int]:
     return per
 
 
-def band_extents(extent: int, window: int, origin: int) -> list[int]:
-    """Token extents of the bands a tiling cuts one axis into, without padding.
-
-    ``origin`` is where the first whole window starts, in [0, window); a
-    nonzero origin leaves a leading partial band, and a remainder a trailing one.
-    """
-    if not 0 <= origin < window <= extent:
-        raise ValueError(f"window {window} at origin {origin} does not fit axis extent {extent}")
-    full, tail = divmod(extent - origin, window)
-    return [e for e in [origin] + [window] * full + [tail] if e]
-
-
-def _sgu_window_sums(H: int, W: int, window: tuple[int, int],
-                     shifted: bool, strategy: str) -> tuple[int, int]:
+def _sgu_window_sums(grid: WindowGrid, strategy: str) -> tuple[int, int]:
     """(sum of squared window token counts, sum of window token counts).
 
+    With zero-padding every window of the padded grid holds h * w tokens.
     Without padding a window holds e_r * e_c tokens for its row and column
     bands, so the squared sum factors per axis and the token sum is H * W.
     """
-    (h, w), (oy, ox) = window, shift_offset(window, shifted)
-    if strategy == "zero-padding" and (oy, ox) != (0, 0):
-        top, bottom, left, right = pad_widths((H, W), window, (oy, ox))
-        Hp, Wp = top + H + bottom, left + W + right
-        return (Hp // h) * (Wp // w) * (h * w) ** 2, Hp * Wp
-    rows = sum(e * e for e in band_extents(H, h, oy))
-    cols = sum(e * e for e in band_extents(W, w, ox))
-    return rows * cols, H * W
+    if strategy == "zero-padding":
+        windows, T = grid.counts[0] * grid.counts[1], grid.window[0] * grid.window[1]
+        return windows * T * T, windows * T
+    rows, cols = (sum(e * e for e in bands) for bands in grid.bands)
+    return rows * cols, grid.image[0] * grid.image[1]
 
 
 def count_flops(config: ModelConfig, resolution: int, strategy: str) -> CostReport:
@@ -130,17 +113,17 @@ def count_flops(config: ModelConfig, resolution: int, strategy: str) -> CostRepo
 
     C = config.base_channels
     LN = FLOPS_PER_LN_ELEMENT
-    H = resolution // 4
-    total = (H * H) * (48 * C + C + LN * C)  # embed projection + bias + norm
+    res = config.stage_resolutions
+    total = res[0] ** 2 * (48 * C + C + LN * C)  # embed projection + bias + norm
     for s, depth in enumerate(config.depths):
         dim = config.stage_channels[s]
         gate = config.stage_gate_channels[s]
         hidden = config.expansion * dim
         win = config.stage_window(s)
-        N = H * H
+        N = res[s] ** 2
         for i in range(depth):
-            shifted = i % 2 == 1
-            sq, toks = _sgu_window_sums(H, H, win, shifted, strategy)
+            grid = WindowGrid((res[s], res[s]), win, shift_offset(win, i % 2 == 1))
+            sq, toks = _sgu_window_sums(grid, strategy)
             total += LN * N * dim                 # pre-norm
             total += N * dim * hidden + N * hidden  # input projection
             total += N * hidden                    # GELU
@@ -148,11 +131,10 @@ def count_flops(config: ModelConfig, resolution: int, strategy: str) -> CostRepo
             total += 2 * toks * gate               # spatial bias + gate multiply
             total += N * gate * dim + N * dim      # output projection
         if s < 3:
-            No = (H // 2) ** 2
+            No = res[s + 1] ** 2
             total += LN * No * 4 * dim + No * 4 * dim * 2 * dim + No * 2 * dim
-            H //= 2
-    D = config.stage_channels[-1]
-    total += LN * H * H * D + H * H * D            # final norm + average pool
+    D, N = config.stage_channels[-1], res[3] ** 2
+    total += LN * N * D + N * D                    # final norm + average pool
     total += D * config.num_classes + config.num_classes
     return CostReport(per_module=params.per_module, total_params=params.total_params,
                       flops=total, resolution=resolution, strategy=strategy)
@@ -182,11 +164,8 @@ def effective_mixing_weight(model: GswinModel, stage: int, layer: int, head: int
     sgu = blocks[layer].sgu
     if not 0 <= head < sgu.heads:
         raise ValueError(f"head {head} out of range [0, {sgu.heads})")
-    w = sgu.w_win.data[:, :, head].copy()
-    if sgu.rel_table is not None:
-        rel = materialize_relative_bias(Tensor(sgu.rel_table.data), sgu.window)
-        w += rel.data[:, :, head]
-    return w
+    with no_grad():
+        return effective_weight(sgu).data[:, :, head].copy()
 
 
 def weight_tile_grid(w_eff: np.ndarray, window: tuple[int, int]) -> np.ndarray:

@@ -12,7 +12,7 @@ Checkpoint layout (little-endian throughout):
     u8     rank, then u32 per-axis extents
     f32    raw values, row-major
 
-Values are stored at 32-bit precision regardless of the in-memory dtype.
+Values are stored at 32-bit precision; the model computes in float64.
 Version-1 files carried no config and are rejected.
 """
 from __future__ import annotations
@@ -130,7 +130,7 @@ def apply_checkpoint(model: GswinModel, arrays: dict[str, np.ndarray]) -> None:
         a = arrays[p.name]
         if tuple(a.shape) != p.shape:
             raise ValueError(f"{p.name}: checkpoint shape {a.shape} != model shape {p.shape}")
-        p.data = a.astype(model.dtype)
+        p.data = a.astype(np.float64)
         names.discard(p.name)
     if names:
         raise ValueError(f"checkpoint has unknown parameters: {sorted(names)[:3]}...")
@@ -185,29 +185,30 @@ _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no"
 _KINDS = {int: "an integer", float: "a number", bool: "true or false"}
 
 
+def typed_value(key: str, kind, text: str):
+    """``text`` converted to type ``kind``; a failure raises ``ValueError`` naming ``key``.
+
+    A tuple type reads a comma list of integers.
+    """
+    try:
+        if kind is bool:
+            return _BOOLS[text.lower()]
+        if typing.get_origin(kind) is tuple:
+            return tuple(int(v) for v in text.split(","))
+        return kind(text)
+    except (KeyError, ValueError):
+        expected = _KINDS.get(kind, "comma-separated integers")
+        raise ValueError(f"{key} must be {expected}, got {text!r}") from None
+
+
 def typed_fields(cls, kv: dict[str, str]) -> dict[str, object]:
     """The values in ``kv`` of the fields of dataclass ``cls``, as field types.
 
-    Keys that are not fields are left out. Tuple fields read a comma list of
-    integers. A value that does not convert raises ``ValueError`` naming its key.
+    Keys that are not fields are left out.
     """
     hints = typing.get_type_hints(cls)
-    out: dict[str, object] = {}
-    for f in fields(cls):
-        if f.name not in kv:
-            continue
-        kind, text = hints[f.name], kv[f.name]
-        try:
-            if kind is bool:
-                out[f.name] = _BOOLS[text.lower()]
-            elif typing.get_origin(kind) is tuple:
-                out[f.name] = tuple(int(v) for v in text.split(","))
-            else:
-                out[f.name] = kind(text)
-        except (KeyError, ValueError):
-            expected = _KINDS.get(kind, "comma-separated integers")
-            raise ValueError(f"{f.name} must be {expected}, got {text!r}") from None
-    return out
+    return {f.name: typed_value(f.name, hints[f.name], kv[f.name])
+            for f in fields(cls) if f.name in kv}
 
 
 MODEL_KEYS = {"model"} | {f.name for f in fields(ModelConfig)}

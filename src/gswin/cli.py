@@ -21,14 +21,14 @@ import json
 import os
 import sys
 from dataclasses import fields
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
 from .analysis import (STRATEGIES, count_flops, count_params, export_weight_maps,
                        format_count)
 from .checkpoint import (MODEL_KEYS, model_config_from_mapping, model_from_checkpoint,
-                         parse_config_file, typed_fields)
+                         parse_config_file, typed_fields, typed_value)
 from .gradcheck import check_gradients, op_gradcheck_suite
 from .model import DROP_PATH_RATES, PRESETS, GswinBlock, GswinModel, ModelConfig
 from .sgu import init_sgu_params, multi_head_window_sgu, zero_padding_shift_oracle
@@ -47,7 +47,10 @@ GRADCHECK_CONFIG = ModelConfig(base_channels=4, depths=(1, 1, 1, 1), heads=2,
                                window=(4, 4), expansion=2, num_classes=2,
                                image_size=32)
 
-_TASK_KEYS = {"train_size", "eval_size", "noise", "frequency", "task_seed"}
+# train config key -> SyntheticTask argument; the class count and image size
+# come from the model config
+_TASK_KEYS = {"train_size": "train_size", "eval_size": "eval_size", "noise": "noise",
+              "frequency": "frequency", "task_seed": "seed"}
 
 
 class _UsageError(Exception):
@@ -129,7 +132,7 @@ def _block_gradcheck(seed: int) -> list[tuple[str, float]]:
     rng = np.random.default_rng(seed)
     block = GswinBlock(dim=4, resolution=(8, 8), window=(4, 4), heads=2,
                        expansion=2, shifted=True, p_drop=0.0, rel_bias=True,
-                       prefix="block", rng=rng, dtype=np.float64)
+                       prefix="block", rng=rng)
     for p in (block.sgu.w_win, block.sgu.b_win, block.sgu.rel_table):
         p.data += 0.3 * rng.standard_normal(p.shape)
     x = Tensor(rng.standard_normal((2, 8, 8, 4)), requires_grad=True)
@@ -230,7 +233,7 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_train(args) -> int:
     mapping = parse_config_file(args.config)
-    unknown = set(mapping) - MODEL_KEYS - {f.name for f in fields(TrainConfig)} - _TASK_KEYS
+    unknown = set(mapping) - MODEL_KEYS - {f.name for f in fields(TrainConfig)} - set(_TASK_KEYS)
     if unknown:
         raise ValueError(f"unknown train config keys: {sorted(unknown)}")
     model_config = model_config_from_mapping(
@@ -238,14 +241,10 @@ def _cmd_train(args) -> int:
     train_config = TrainConfig(**{"seed": _default_seed(),
                                   **typed_fields(TrainConfig, mapping)})
 
-    task_fields = {"classes": model_config.num_classes,
-                   "image_size": model_config.image_size,
-                   "seed": int(mapping.get("task_seed", 0)),
-                   "train_size": int(mapping.get("train_size", 512)),
-                   "eval_size": int(mapping.get("eval_size", 256)),
-                   "noise": float(mapping.get("noise", 0.25)),
-                   "frequency": float(mapping.get("frequency", 4.0))}
-    task = SyntheticTask(**task_fields)
+    kinds = get_type_hints(SyntheticTask.__init__)
+    task = SyntheticTask(classes=model_config.num_classes, image_size=model_config.image_size,
+                         **{arg: typed_value(key, kinds[arg], mapping[key])
+                            for key, arg in _TASK_KEYS.items() if key in mapping})
 
     model = GswinModel(model_config, seed=train_config.seed)
     if not args.json:

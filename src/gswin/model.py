@@ -128,23 +128,22 @@ class GswinBlock:
 
     def __init__(self, dim: int, resolution: tuple[int, int], window: tuple[int, int],
                  heads: int, expansion: int, shifted: bool, p_drop: float,
-                 rel_bias: bool, prefix: str, rng: np.random.Generator, dtype):
+                 rel_bias: bool, prefix: str, rng: np.random.Generator):
         self.dim = dim
         self.p_drop = p_drop
         hidden = expansion * dim
         self.gate_channels = hidden // 2
         self.grid = WindowGrid(resolution, window, offset=shift_offset(window, shifted))
 
-        self.norm_g = Parameter(np.ones(dim), f"{prefix}.norm.gamma", dtype=dtype)
-        self.norm_b = Parameter(np.zeros(dim), f"{prefix}.norm.beta", dtype=dtype)
-        self.w_in = Parameter(_init_weight(rng, (dim, hidden)), f"{prefix}.proj_in.w",
-                              dtype=dtype)
-        self.b_in = Parameter(np.zeros(hidden), f"{prefix}.proj_in.b", dtype=dtype)
+        self.norm_g = Parameter(np.ones(dim), f"{prefix}.norm.gamma")
+        self.norm_b = Parameter(np.zeros(dim), f"{prefix}.norm.beta")
+        self.w_in = Parameter(_init_weight(rng, (dim, hidden)), f"{prefix}.proj_in.w")
+        self.b_in = Parameter(np.zeros(hidden), f"{prefix}.proj_in.b")
         self.sgu = init_sgu_params(window, heads, self.gate_channels,
-                                   rel_bias=rel_bias, prefix=f"{prefix}.sgu", dtype=dtype)
+                                   rel_bias=rel_bias, prefix=f"{prefix}.sgu")
         self.w_out = Parameter(_init_weight(rng, (self.gate_channels, dim)),
-                               f"{prefix}.proj_out.w", dtype=dtype)
-        self.b_out = Parameter(np.zeros(dim), f"{prefix}.proj_out.b", dtype=dtype)
+                               f"{prefix}.proj_out.w")
+        self.b_out = Parameter(np.zeros(dim), f"{prefix}.proj_out.b")
 
     def parameters(self) -> list[Parameter]:
         ps = [self.norm_g, self.norm_b, self.w_in, self.b_in,
@@ -166,13 +165,12 @@ class GswinBlock:
 class _PatchMerge:
     """2x2 neighborhood concat (4d) -> norm -> linear to 2d."""
 
-    def __init__(self, dim: int, prefix: str, rng, dtype):
+    def __init__(self, dim: int, prefix: str, rng):
         self.dim = dim
-        self.norm_g = Parameter(np.ones(4 * dim), f"{prefix}.norm.gamma", dtype=dtype)
-        self.norm_b = Parameter(np.zeros(4 * dim), f"{prefix}.norm.beta", dtype=dtype)
-        self.w = Parameter(_init_weight(rng, (4 * dim, 2 * dim)),
-                           f"{prefix}.reduce.w", dtype=dtype)
-        self.b = Parameter(np.zeros(2 * dim), f"{prefix}.reduce.b", dtype=dtype)
+        self.norm_g = Parameter(np.ones(4 * dim), f"{prefix}.norm.gamma")
+        self.norm_b = Parameter(np.zeros(4 * dim), f"{prefix}.norm.beta")
+        self.w = Parameter(_init_weight(rng, (4 * dim, 2 * dim)), f"{prefix}.reduce.w")
+        self.b = Parameter(np.zeros(2 * dim), f"{prefix}.reduce.b")
 
     def parameters(self):
         return [self.norm_g, self.norm_b, self.w, self.b]
@@ -195,18 +193,16 @@ class GswinModel:
     relative-offset table); projections start from small uniform draws.
     """
 
-    def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float64):
+    def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
-        self.dtype = dtype
         rng = np.random.default_rng(seed)
         C = config.base_channels
         patch_in = 4 * 4 * 3
 
-        self.embed_w = Parameter(_init_weight(rng, (patch_in, C)),
-                                 "patch_embed.proj.w", dtype=dtype)
-        self.embed_b = Parameter(np.zeros(C), "patch_embed.proj.b", dtype=dtype)
-        self.embed_ng = Parameter(np.ones(C), "patch_embed.norm.gamma", dtype=dtype)
-        self.embed_nb = Parameter(np.zeros(C), "patch_embed.norm.beta", dtype=dtype)
+        self.embed_w = Parameter(_init_weight(rng, (patch_in, C)), "patch_embed.proj.w")
+        self.embed_b = Parameter(np.zeros(C), "patch_embed.proj.b")
+        self.embed_ng = Parameter(np.ones(C), "patch_embed.norm.gamma")
+        self.embed_nb = Parameter(np.zeros(C), "patch_embed.norm.beta")
 
         rates = config.drop_path_schedule()
         self.stages: list[list[GswinBlock]] = []
@@ -222,18 +218,17 @@ class GswinModel:
                     dim=dim, resolution=(res, res), window=win, heads=config.heads,
                     expansion=config.expansion, shifted=(i % 2 == 1),
                     p_drop=rates[b_idx], rel_bias=config.rel_bias,
-                    prefix=f"stages.{s}.blocks.{i}", rng=rng, dtype=dtype))
+                    prefix=f"stages.{s}.blocks.{i}", rng=rng))
                 b_idx += 1
             self.stages.append(blocks)
             if s < 3:
-                self.merges.append(_PatchMerge(dim, f"merges.{s}", rng, dtype))
+                self.merges.append(_PatchMerge(dim, f"merges.{s}", rng))
 
         D = config.stage_channels[-1]
-        self.head_ng = Parameter(np.ones(D), "head.norm.gamma", dtype=dtype)
-        self.head_nb = Parameter(np.zeros(D), "head.norm.beta", dtype=dtype)
-        self.head_w = Parameter(_init_weight(rng, (D, config.num_classes)),
-                                "head.fc.w", dtype=dtype)
-        self.head_b = Parameter(np.zeros(config.num_classes), "head.fc.b", dtype=dtype)
+        self.head_ng = Parameter(np.ones(D), "head.norm.gamma")
+        self.head_nb = Parameter(np.zeros(D), "head.norm.beta")
+        self.head_w = Parameter(_init_weight(rng, (D, config.num_classes)), "head.fc.w")
+        self.head_b = Parameter(np.zeros(config.num_classes), "head.fc.b")
 
         self._params: dict[str, Parameter] = {}
         for p in self._collect():

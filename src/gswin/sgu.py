@@ -10,18 +10,22 @@ Partial windows of a shifted or ragged grid are zero-padded to whole windows
 one uniform window batch with one GEMM per head. Padded tokens contribute
 nothing to the real ones and their own outputs are cropped, so the result
 equals slicing the weights for each partial window (the ``padding-free``
-strategy, which the paper counts as cheaper). In numpy wall time the single
-batch is faster: the padding-free executor ran up to nine window groups per
-layer, each with its own partition, weight slice and bias gather.
+strategy, which the paper counts as cheaper).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor import Parameter, Tensor, take
 from .windows import WindowGrid, window_partition, window_reverse
+
+
+def _table_rows(window: tuple[int, int]) -> int:
+    """Rows of a window's relative-offset table: one per distinct token offset."""
+    h, w = window
+    return (2 * h - 1) * (2 * w - 1)
 
 
 def toeplitz_index_map(window: tuple[int, int]) -> np.ndarray:
@@ -45,11 +49,10 @@ def materialize_relative_bias(rel_table: Tensor, window: tuple[int, int]) -> Ten
     equal relative offsets share one table row, and gradients scatter-add
     back onto it.
     """
-    h, w = window
-    L = (2 * h - 1) * (2 * w - 1)
+    L = _table_rows(window)
     if rel_table.shape[0] != L:
         raise ValueError(f"table has {rel_table.shape[0]} rows, window {window} needs {L}")
-    T = h * w
+    T = window[0] * window[1]
     K = rel_table.shape[1]
     return take(rel_table, toeplitz_index_map(window).reshape(-1)).reshape(T, T, K)
 
@@ -79,7 +82,7 @@ class SguParams:
         if self.b_win.shape != (T, self.heads):
             raise ValueError(f"b_win shape {self.b_win.shape}, expected {(T, self.heads)}")
         if self.rel_table is not None:
-            L = (2 * h - 1) * (2 * w - 1)
+            L = _table_rows(self.window)
             if self.rel_table.shape != (L, self.heads):
                 raise ValueError(f"rel_table shape {self.rel_table.shape}, expected {(L, self.heads)}")
 
@@ -89,8 +92,7 @@ class SguParams:
 
 
 def init_sgu_params(window: tuple[int, int], heads: int, gate_channels: int,
-                    rel_bias: bool = True, prefix: str = "sgu",
-                    dtype=np.float64) -> SguParams:
+                    rel_bias: bool = True, prefix: str = "sgu") -> SguParams:
     """Identity-initialized gating parameters: zero mixing, unit bias.
 
     At this state the gate multiplies by exactly 1 everywhere, so the unit
@@ -102,12 +104,11 @@ def init_sgu_params(window: tuple[int, int], heads: int, gate_channels: int,
     if gate_channels % heads:
         raise ValueError(f"heads {heads} must divide gate channels {gate_channels}")
     T = h * w
-    w_win = Parameter(np.zeros((T, T, heads)), f"{prefix}.w_win", dtype=dtype)
-    b_win = Parameter(np.ones((T, heads)), f"{prefix}.b_win", dtype=dtype)
+    w_win = Parameter(np.zeros((T, T, heads)), f"{prefix}.w_win")
+    b_win = Parameter(np.ones((T, heads)), f"{prefix}.b_win")
     rel = None
     if rel_bias:
-        L = (2 * h - 1) * (2 * w - 1)
-        rel = Parameter(np.zeros((L, heads)), f"{prefix}.rel_table", dtype=dtype)
+        rel = Parameter(np.zeros((_table_rows(window), heads)), f"{prefix}.rel_table")
     return SguParams(w_win=w_win, b_win=b_win, window=(h, w), heads=heads,
                      channels_per_head=gate_channels // heads, rel_table=rel)
 
@@ -131,7 +132,7 @@ def _mix_windows(wins: Tensor, w_eff: Tensor, bias: Tensor, heads: int) -> Tenso
             .reshape(B, nh, h, nw, w, C))
 
 
-def _effective_weight(params: SguParams) -> Tensor:
+def effective_weight(params: SguParams) -> Tensor:
     """Learned mixing weight plus the materialized relative-offset bias."""
     if params.rel_table is None:
         return params.w_win
@@ -155,7 +156,7 @@ def sgu(z: Tensor, params: SguParams) -> Tensor:
         raise ValueError(f"{N} tokens do not fill a {h}x{w} window")
     z1 = z[:, :C]
     z2 = z[:, C:].reshape(1, 1, h, 1, w, C)
-    mixed = _mix_windows(z2, _effective_weight(params), params.b_win, params.heads)
+    mixed = _mix_windows(z2, effective_weight(params), params.b_win, params.heads)
     return z1 * mixed.reshape(N, C)
 
 
@@ -166,22 +167,18 @@ def multi_head_window_sgu(x: Tensor, params: SguParams, grid: WindowGrid) -> Ten
     cropped back to the map, and multiplied into the value half. Output is
     (B, H, W, C).
     """
-    B, H, W, C2 = x.shape
+    C2 = x.shape[-1]
     if C2 % 2:
         raise ValueError(f"channel extent {C2} is odd; need value/gate halves")
     C = C2 // 2
-    if C % params.heads:
-        raise ValueError(f"heads {params.heads} do not divide gate channels {C}")
     if C != params.gate_channels:
         raise ValueError(f"gate half has {C} channels, params expect {params.gate_channels}")
     if grid.window != params.window:
         raise ValueError(f"grid window {grid.window} differs from params window {params.window}")
-    if (H, W) != grid.image:
-        raise ValueError(f"grid built for {grid.image}, input map is {(H, W)}")
     z1 = x[:, :, :, :C]
     z2 = x[:, :, :, C:]
     (wins,) = window_partition(z2, grid)
-    mixed = _mix_windows(wins, _effective_weight(params), params.b_win, params.heads)
+    mixed = _mix_windows(wins, effective_weight(params), params.b_win, params.heads)
     return z1 * window_reverse([mixed], grid)
 
 

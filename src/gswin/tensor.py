@@ -275,8 +275,8 @@ class Parameter(Tensor):
 
     __slots__ = ("name",)
 
-    def __init__(self, data: Any, name: str, dtype=np.float64):
-        super().__init__(data, requires_grad=True, dtype=dtype)
+    def __init__(self, data: Any, name: str):
+        super().__init__(data, requires_grad=True)
         self.name = name
 
     def __repr__(self) -> str:

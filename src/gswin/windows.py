@@ -1,10 +1,8 @@
 """Window tiling geometry.
 
-A layer's windows form one uniform grid. The map is zero-padded so that
-every window is whole: a shifted tiling, whose first full window starts at
-offset (oy, ox), pads ``(h - oy) % h`` rows on top and ``(w - ox) % w``
-columns on the left, and every tiling pads the bottom and right up to a
-whole window. The gating unit then mixes one window batch per layer.
+:class:`WindowGrid` is the one description of a layer's tiling: its pad
+widths, window counts and band extents. The gating unit mixes the padded
+map as one uniform window batch per layer.
 """
 from __future__ import annotations
 
@@ -23,26 +21,19 @@ def shift_offset(window: tuple[int, int], shifted: bool) -> tuple[int, int]:
     return (window[0] // 2, window[1] // 2) if shifted else (0, 0)
 
 
-def pad_widths(image: tuple[int, int], window: tuple[int, int],
-               offset: tuple[int, int]) -> tuple[int, int, int, int]:
-    """(top, bottom, left, right) zero bands that make a tiling uniform.
-
-    The first full window starts at ``offset``; padding the map by these
-    widths turns the leading and trailing partial bands into whole windows.
-    """
-    (H, W), (h, w), (oy, ox) = image, window, offset
-    top = (h - oy) % h
-    left = (w - ox) % w
-    return top, (-(top + H)) % h, left, (-(left + W)) % w
-
-
 class WindowGrid:
     """Uniform tiling of an H x W map by h x w windows, zero-padded to fit.
 
-    With offset (0, 0) on a map the window divides, no padding is needed. A
-    shifted tiling (offset (h//2, w//2)) pads ``top``/``left`` so that its
-    partial leading band becomes a whole window, and every grid pads the
+    The first whole window starts at ``offset`` (oy, ox). The map is padded
+    with ``(h - oy) % h`` rows on top and ``(w - ox) % w`` columns on the
+    left, so that a leading partial band becomes a whole window, and on the
     bottom and right up to a whole window.
+
+    pads:   (top, bottom, left, right) zero bands.
+    counts: (n_h, n_w) windows of the padded map.
+    bands:  per axis, the token extents of the bands the tiling cuts the
+            unpadded axis into: a leading partial band when the origin is
+            nonzero, the whole windows, and a trailing remainder.
     """
 
     def __init__(self, image: tuple[int, int], window: tuple[int, int],
@@ -50,16 +41,18 @@ class WindowGrid:
         self.image = (int(image[0]), int(image[1]))
         self.window = (int(window[0]), int(window[1]))
         self.offset = (int(offset[0]), int(offset[1]))
+        pads, counts, bands = [], [], []
         for extent, win, origin in zip(self.image, self.window, self.offset):
             _check_axis(extent, win, origin)
-        self.pads = pad_widths(self.image, self.window, self.offset)
-        top, bottom, left, right = self.pads
-        self.counts = ((top + self.image[0] + bottom) // self.window[0],
-                       (left + self.image[1] + right) // self.window[1])
-
-    @property
-    def shifted(self) -> bool:
-        return self.offset != (0, 0)
+            lead = (win - origin) % win
+            trail = -(lead + extent) % win
+            pads += [lead, trail]
+            counts.append((lead + extent + trail) // win)
+            full, tail = divmod(extent - origin, win)
+            bands.append(tuple(e for e in (origin, *[win] * full, tail) if e))
+        self.pads = tuple(pads)
+        self.counts = tuple(counts)
+        self.bands = tuple(bands)
 
     def __repr__(self) -> str:
         return (f"WindowGrid(image={self.image}, window={self.window}, "

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from gswin.analysis import (
+    STRATEGIES,
     CostReport,
     count_flops,
     count_params,
@@ -14,6 +15,8 @@ from gswin.analysis import (
     weight_tile_grid,
 )
 from gswin.model import GswinModel, ModelConfig, PRESETS
+from gswin.tensor import Tensor
+from gswin.windows import window_partition
 
 PARAM_TARGETS = {"gswin-vt": 16e6, "gswin-t": 22e6, "gswin-s": 40e6}
 FLOP_TARGETS = [
@@ -116,6 +119,39 @@ def test_strategies_agree_without_shifted_layers():
     free = count_flops(cfg, 32, "padding-free").flops
     padded = count_flops(cfg, 32, "zero-padding").flops
     assert free == padded
+
+
+@pytest.mark.parametrize("depths", [(1, 1, 1, 1), (2, 2, 2, 2)])
+def test_zero_padding_counts_the_windows_the_model_builds(depths):
+    # 7x7 windows at 64 px: the unshifted 16x16 and 8x8 maps of stages 0 and 1
+    # are padded too. Each built block's grid gives the real tokens per window.
+    cfg = small_cfg(depths=depths, window=(7, 7), image_size=64)
+    extra = 0
+    for blk in (b for blocks in GswinModel(cfg).stages for b in blocks):
+        grid = blk.grid
+        ones = Tensor(np.ones((1, *grid.image, 1)))
+        real = window_partition(ones, grid)[0].data.sum(axis=(2, 4, 5)).ravel()
+        T = grid.window[0] * grid.window[1]
+        mixing = real.size * T * T - (real ** 2).sum()
+        extra += blk.gate_channels * (mixing + 2 * (real.size * T - real.sum()))
+    free = count_flops(cfg, 64, "padding-free").flops
+    padded = count_flops(cfg, 64, "zero-padding").flops
+    assert extra > 0
+    assert padded - free == extra
+
+
+def test_flop_totals_pinned_at_224_and_padding_free_at_every_resolution():
+    # every map at 224 px is a whole number of 7x7 windows, and padding-free
+    # charges no padding, so none of these depends on how a ragged map is padded
+    at_224 = {"gswin-vt": (2308069000, 2428100740), "gswin-t": (3643216360, 3821208424),
+              "gswin-s": (7031573416, 7346712664)}
+    for name, totals in at_224.items():
+        assert tuple(count_flops(PRESETS[name], 224, s).flops for s in STRATEGIES) == totals
+    padding_free = {32: 71220712, 64: 288452584, 96: 657000936, 128: 1175153128,
+                    160: 1845193192, 192: 2660774376, 224: 3643216360, 256: 4753226728,
+                    288: 6021637608}
+    for res, total in padding_free.items():
+        assert count_flops(PRESETS["gswin-t"], res, "padding-free").flops == total
 
 
 def test_flops_monotone_in_depth_and_resolution():

@@ -223,6 +223,13 @@ def test_train_unknown_key_is_validation_error(tmp_path):
     assert run(["train", "--config", str(cfg)]) == 2
 
 
+def test_train_bad_task_value_names_the_key(tmp_path, capsys):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TRAIN_CFG.replace("train_size = 32", "train_size = many"))
+    assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    assert "train_size" in capsys.readouterr().err
+
+
 def test_train_requires_config_flag():
     assert run(["train"]) == 1
 

@@ -224,7 +224,7 @@ def test_single_block_gradcheck():
     rng = np.random.default_rng(10)
     blk = GswinBlock(dim=4, resolution=(4, 4), window=(2, 2), heads=2, expansion=2,
                      shifted=True, p_drop=0.0, rel_bias=True, prefix="b",
-                     rng=np.random.default_rng(0), dtype=np.float64)
+                     rng=np.random.default_rng(0))
     x = Tensor(rng.standard_normal((1, 4, 4, 4)), requires_grad=True)
     r = Tensor(rng.standard_normal((1, 4, 4, 4)))
     worst = check_gradients(lambda: (blk.forward(x, False, None) * r).sum(),
@@ -301,14 +301,15 @@ def test_checkpoint_header_round_trips_the_config(tmp_path, name):
     config = PRESETS.get(name) or ModelConfig(base_channels=16, depths=(2, 2, 2, 2),
                                               heads=4, window=(4, 4), num_classes=10,
                                               image_size=32)
-    m = GswinModel(config, seed=2, dtype=np.float32)
+    m = GswinModel(config, seed=2)
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, m)
     m2 = model_from_checkpoint(path)
     assert m2.config == config
     assert [p.name for p in m2.parameters()] == [p.name for p in m.parameters()]
     for p, q in zip(m.parameters(), m2.parameters()):
-        assert np.array_equal(q.data.astype(np.float32), p.data)
+        assert q.data.dtype == np.float64
+        assert np.array_equal(q.data, p.data.astype(np.float32))
 
 
 def test_config_file_parsing(tmp_path):

@@ -2,43 +2,41 @@
 import numpy as np
 import pytest
 
-from gswin.analysis import band_extents
 from gswin.tensor import Tensor
-from gswin.windows import (
-    WindowGrid,
-    pad_widths,
-    shift_offset,
-    window_partition,
-    window_reverse,
-)
+from gswin.windows import WindowGrid, shift_offset, window_partition, window_reverse
+
+
+def _row_bands(extent, window, origin):
+    """The grid's bands along rows; the column axis is one token wide."""
+    return WindowGrid((extent, 1), (window, 1), offset=(origin, 0)).bands[0]
 
 
 def test_axis_runs_uniform():
-    assert band_extents(14, 7, 0) == [7, 7]
+    assert _row_bands(14, 7, 0) == (7, 7)
 
 
 def test_axis_runs_shifted_standard():
     # window 7, origin 3: a leading partial band of 3, one whole window, a tail of 4
-    assert band_extents(14, 7, 3) == [3, 7, 4]
+    assert _row_bands(14, 7, 3) == (3, 7, 4)
 
 
 def test_axis_runs_single_window_shifted():
-    assert band_extents(7, 7, 3) == [3, 4]
+    assert _row_bands(7, 7, 3) == (3, 4)
 
 
 def test_axis_runs_trailing_partial():
-    assert band_extents(10, 7, 0) == [7, 3]
+    assert _row_bands(10, 7, 0) == (7, 3)
 
 
 def test_axis_runs_errors():
     with pytest.raises(ValueError):
-        band_extents(5, 7, 0)
+        WindowGrid((5, 1), (7, 1), offset=(0, 0))
     with pytest.raises(ValueError):
-        band_extents(14, 7, 7)
+        WindowGrid((14, 1), (7, 1), offset=(7, 0))
     with pytest.raises(ValueError):
-        band_extents(14, 7, -1)
+        WindowGrid((14, 1), (7, 1), offset=(-1, 0))
     with pytest.raises(ValueError):
-        band_extents(14, 0, 0)
+        WindowGrid((14, 1), (0, 1), offset=(0, 0))
 
 
 def test_shift_offset_half_window():
@@ -48,10 +46,10 @@ def test_shift_offset_half_window():
 
 
 def test_pad_widths_make_whole_windows():
-    assert pad_widths((14, 14), (7, 7), (0, 0)) == (0, 0, 0, 0)
-    assert pad_widths((14, 14), (7, 7), (3, 3)) == (4, 3, 4, 3)
-    assert pad_widths((9, 16), (7, 7), (0, 3)) == (0, 5, 4, 1)
-    assert pad_widths((5, 5), (1, 1), (0, 0)) == (0, 0, 0, 0)
+    assert WindowGrid((14, 14), (7, 7), (0, 0)).pads == (0, 0, 0, 0)
+    assert WindowGrid((14, 14), (7, 7), (3, 3)).pads == (4, 3, 4, 3)
+    assert WindowGrid((9, 16), (7, 7), (0, 3)).pads == (0, 5, 4, 1)
+    assert WindowGrid((5, 5), (1, 1), (0, 0)).pads == (0, 0, 0, 0)
 
 
 def _real_windows(grid):
@@ -71,14 +69,15 @@ def test_grid_unshifted_single_group():
     grid = WindowGrid((14, 14), (7, 7))
     assert grid.pads == (0, 0, 0, 0)
     assert grid.counts == (2, 2)
-    assert not grid.shifted
+    assert grid.bands == ((7, 7), (7, 7))
 
 
-def test_grid_shifted_nine_groups_shapes():
-    # the padded windows hold exactly the padding-free groups: extents, and
+def test_grid_shifted_windows_hold_the_partial_bands():
+    # the padded windows hold exactly the padding-free windows: extents, and
     # where their real tokens start inside the window (the weight offsets)
     grid = WindowGrid((14, 14), (7, 7), offset=(3, 3))
     assert grid.counts == (3, 3)
+    assert grid.bands == ((3, 7, 4), (3, 7, 4))
     real = _real_windows(grid)
     assert [shape for shape, _ in real] == [
         (3, 3), (3, 7), (3, 4),
@@ -122,7 +121,7 @@ def test_partition_unshifted_counts():
     assert batches[0].shape == (2, 2, 7, 2, 7, 3)
 
 
-def test_partition_shifted_group_count():
+def test_partition_shifted_is_one_padded_batch():
     # one batch: the 14x14 map padded to 3x3 whole windows
     x = Tensor(np.zeros((1, 14, 14, 2)))
     batches = window_partition(x, WindowGrid((14, 14), (7, 7), offset=(3, 3)))
