@@ -11,6 +11,11 @@ one uniform window batch with one GEMM per head. Padded tokens contribute
 nothing to the real ones and their own outputs are cropped, so the result
 equals slicing the weights for each partial window (the ``padding-free``
 strategy, which the paper counts as cheaper).
+
+A gating layer records one graph node, over the input, the effective weight
+and ``b_win``, with an analytic vjp. It keeps only what that vjp reads: a copy
+of the value half, the mixed gate if the input needs a gradient, and the
+head-major gate half if the weight does.
 """
 from __future__ import annotations
 
@@ -113,23 +118,20 @@ def init_sgu_params(window: tuple[int, int], heads: int, gate_channels: int,
                      channels_per_head=gate_channels // heads, rel_table=rel)
 
 
-def _mix_windows(wins: Tensor, w_eff: Tensor, bias: Tensor, heads: int) -> Tensor:
-    """Per-head spatial mixing of a (B, n_h, h, n_w, w, C) window batch.
+def _head_major(a: np.ndarray, grid: WindowGrid, heads: int) -> np.ndarray:
+    """Lay a padded (B, ..., C) map out as (K, T, windows*ch) in one copy, so
+    each of the K heads mixes all windows of the batch with one GEMM."""
+    (nh, nw), (h, w) = grid.counts, grid.window
+    B, C = a.shape[0], a.shape[-1]
+    return (a.reshape(B, nh, h, nw, w, heads, C // heads)
+            .transpose(5, 2, 4, 0, 1, 3, 6).reshape(heads, h * w, -1))
 
-    w_eff is (T, T, K), bias (T, K); channels split into K contiguous head
-    blocks. The windows are laid out head-major as (K, T, B*n_h*n_w*ch) in
-    one copy, so each head mixes all of its windows with one GEMM.
-    """
-    B, nh, h, nw, w, C = wins.shape
-    K = heads
-    ch, T, N = C // K, h * w, B * nh * nw
-    zh = (wins.reshape(B, nh, h, nw, w, K, ch)
-          .transpose((5, 2, 4, 0, 1, 3, 6))
-          .reshape(K, T, N * ch))
-    mixed = w_eff.transpose((2, 0, 1)) @ zh + bias.transpose((1, 0)).reshape(K, T, 1)
-    return (mixed.reshape(K, h, w, B, nh, nw, ch)
-            .transpose((3, 4, 1, 5, 2, 0, 6))
-            .reshape(B, nh, h, nw, w, C))
+
+def _map_major(a: np.ndarray, grid: WindowGrid, batch: int) -> np.ndarray:
+    """Inverse of :func:`_head_major`: a (B, n_h, h, n_w, w, C) window batch."""
+    (nh, nw), (h, w) = grid.counts, grid.window
+    return (a.reshape(a.shape[0], h, w, batch, nh, nw, -1)
+            .transpose(3, 4, 1, 5, 2, 0, 6).reshape(batch, nh, h, nw, w, -1))
 
 
 def effective_weight(params: SguParams) -> Tensor:
@@ -146,18 +148,11 @@ def sgu(z: Tensor, params: SguParams) -> Tensor:
     the window's token count.
     """
     N, C2 = z.shape
-    if C2 % 2:
-        raise ValueError(f"channel extent {C2} is odd; need value/gate halves")
-    C = C2 // 2
-    if C != params.gate_channels:
-        raise ValueError(f"gate half has {C} channels, params expect {params.gate_channels}")
     h, w = params.window
     if N != h * w:
         raise ValueError(f"{N} tokens do not fill a {h}x{w} window")
-    z1 = z[:, :C]
-    z2 = z[:, C:].reshape(1, 1, h, 1, w, C)
-    mixed = _mix_windows(z2, effective_weight(params), params.b_win, params.heads)
-    return z1 * mixed.reshape(N, C)
+    y = multi_head_window_sgu(z.reshape(1, h, w, C2), params, WindowGrid((h, w), (h, w)))
+    return y.reshape(N, y.shape[-1])
 
 
 def multi_head_window_sgu(x: Tensor, params: SguParams, grid: WindowGrid) -> Tensor:
@@ -175,11 +170,45 @@ def multi_head_window_sgu(x: Tensor, params: SguParams, grid: WindowGrid) -> Ten
         raise ValueError(f"gate half has {C} channels, params expect {params.gate_channels}")
     if grid.window != params.window:
         raise ValueError(f"grid window {grid.window} differs from params window {params.window}")
-    z1 = x[:, :, :, :C]
-    z2 = x[:, :, :, C:]
-    (wins,) = window_partition(z2, grid)
-    mixed = _mix_windows(wins, effective_weight(params), params.b_win, params.heads)
-    return z1 * window_reverse([mixed], grid)
+    B, H, W, _ = x.shape
+    K = params.heads
+    w_eff, b_win = effective_weight(params), params.b_win
+    record = Tensor._records((x, w_eff, b_win))
+    wt = w_eff.data.transpose(2, 0, 1)
+    # Non-recording wraps keep the window helpers and GEMM visible to a tracer patching them.
+    zh = _head_major(window_partition(Tensor(x.data[..., C:]), grid)[0].data, grid, K)
+    mixed = (Tensor(wt) @ Tensor(zh)).data + b_win.data.T.reshape(K, -1, 1)
+    zh = zh if record and w_eff.requires_grad else None
+    m = window_reverse([Tensor(_map_major(mixed, grid, B))], grid).data
+    del mixed
+    if record and x.requires_grad:
+        m = np.ascontiguousarray(m)  # drops the crop's padded base before ``out`` exists
+    z1 = x.data[..., :C]
+    out = z1 * m
+    if not record:
+        return Tensor(out)
+    # A view of ``x`` would keep the whole (B, H, W, 2C) input alive.
+    z1, m = z1.copy(), m if x.requires_grad else None
+    top, bottom, left, right = grid.pads
+    padded = (B, H + top + bottom, W + left + right, C)
+    crop = (slice(None), slice(top, top + H), slice(left, left + W))
+
+    def vjp(g):
+        dm = np.zeros(padded)
+        np.multiply(g, z1, out=dm[crop])
+        dmh = _head_major(dm, grid, K)
+        del dm
+        dw = None if zh is None else np.matmul(dmh, np.swapaxes(zh, -1, -2)).transpose(1, 2, 0)
+        db = dmh.sum(axis=2).T if b_win.requires_grad else None
+        if m is None:
+            return None, dw, db
+        dx = np.empty((B, H, W, C2))
+        np.multiply(g, m, out=dx[..., :C])
+        dz = _map_major(np.matmul(np.swapaxes(wt, -1, -2), dmh), grid, B)
+        dx[..., C:] = dz.reshape(padded)[crop]
+        return dx, dw, db
+
+    return Tensor._result(out, (x, w_eff, b_win), vjp)
 
 
 def zero_padding_shift_oracle(x: Tensor, params: SguParams, grid: WindowGrid) -> np.ndarray:

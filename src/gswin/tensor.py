@@ -4,9 +4,9 @@ Every operation records a graph node on its output: the vector-Jacobian-
 product closure and the nodes or leaves its gradient flows to. A node holds
 no value; each vjp captures only the arrays it reads, so an intermediate
 value lives only while its caller holds it or a vjp needs it. ``backward``
-walks the nodes once in reverse topological order and accumulates gradients
-on the leaves. Data lives in numpy arrays (float64 by default; tests rely on
-64-bit precision).
+walks the nodes once in reverse topological order, accumulates gradients on
+the leaves and releases each vjp as it runs it, so a graph takes one backward.
+Data lives in numpy arrays (float64 by default; tests rely on 64-bit precision).
 """
 from __future__ import annotations
 
@@ -98,7 +98,7 @@ class Tensor:
 
     @property
     def _vjp(self) -> Callable[[np.ndarray], tuple] | None:
-        """The recorded vjp, ``None`` when no op was recorded; assignable."""
+        """The recorded vjp, ``None`` when unrecorded or released by backward; assignable."""
         return None if self._node is None else self._node.vjp
 
     @_vjp.setter
@@ -106,9 +106,14 @@ class Tensor:
         self._node.vjp = vjp
 
     @staticmethod
+    def _records(parents) -> bool:
+        """Whether an op over ``parents`` records a node, so its vjp's copies are needed."""
+        return _grad_enabled and any(p.requires_grad for p in parents)
+
+    @staticmethod
     def _result(data, parents, vjp) -> "Tensor":
         out = Tensor(data, dtype=data.dtype)
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if Tensor._records(parents):
             out.requires_grad = True
             out._node = _Node(tuple(p._node or (p if p.requires_grad else None)
                                     for p in parents), vjp)
@@ -369,8 +374,10 @@ def _topo_order(root) -> list:
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every reachable requires-grad leaf.
 
-    Each graph node is visited exactly once; repeated calls on freshly built
-    graphs accumulate into existing leaf gradients.
+    Each graph node is visited exactly once and its vjp released as it runs,
+    freeing what the vjp captured. A second call through a released node
+    raises ``RuntimeError``; calls on freshly built graphs accumulate into
+    existing leaf gradients.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -384,7 +391,11 @@ def backward(loss: Tensor) -> None:
             if item.requires_grad:
                 item.grad = g.copy() if item.grad is None else item.grad + g
             continue
-        for parent, pg in zip(item.parents, item.vjp(g)):
+        vjp, item.vjp = item.vjp, None
+        if vjp is None:
+            raise RuntimeError("backward reached a node that an earlier backward has "
+                               "released; a graph takes one backward, so build it again")
+        for parent, pg in zip(item.parents, vjp(g)):
             if pg is None or parent is None:
                 continue
             acc = flowing.get(id(parent))

@@ -1,4 +1,6 @@
 """Gating kernels: brute-force oracles, padding equivalence, structure checks."""
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from gswin.sgu import (
     toeplitz_index_map,
     zero_padding_shift_oracle,
 )
-from gswin.tensor import Parameter, Tensor
+from gswin.tensor import Parameter, Tensor, backward, no_grad
 from gswin.windows import WindowGrid, window_partition, window_reverse
 
 
@@ -350,3 +352,40 @@ def test_window_sgu_gradcheck_shifted_ragged_map():
         tol=1e-4,
     )
     assert worst < 1e-4
+
+
+@pytest.mark.parametrize("case", ["no_rel_bias", "input_without_grad", "frozen_params"])
+def test_window_sgu_gradcheck_branches_shifted_ragged_map(case):
+    # each branch of the gating node's vjp, on the padded-on-all-sides grid above
+    rng = np.random.default_rng(15)
+    p = random_params(rng, (2, 3), heads=2, gate_channels=4, rel=case != "no_rel_bias")
+    x = Tensor(rng.standard_normal((2, 6, 8, 8)), requires_grad=case != "input_without_grad")
+    grid = WindowGrid((6, 8), (2, 3), offset=(1, 1))
+    r = Tensor(rng.standard_normal((2, 6, 8, 4)))
+    params = [t for t in (p.w_win, p.b_win, p.rel_table) if t is not None]
+    if case == "frozen_params":
+        for t in params:
+            t.requires_grad = False
+    wrt = [t for t in (x, *params) if t.requires_grad]
+    worst = check_gradients(lambda: (multi_head_window_sgu(x, p, grid) * r).sum(), wrt, tol=1e-4)
+    assert worst < 1e-4
+    assert all(t.grad is None for t in (x, *params) if not t.requires_grad)
+
+
+def test_window_sgu_node_keeps_no_view_of_its_input():
+    rng = np.random.default_rng(16)
+    p = random_params(rng, (2, 3), heads=2, gate_channels=4)
+    grid = WindowGrid((6, 8), (2, 3), offset=(1, 1))
+    data = rng.standard_normal((2, 6, 8, 8))
+    r = Tensor(rng.standard_normal((2, 6, 8, 4)))
+    leaves = [Tensor(data, requires_grad=True) for _ in range(2)]
+    x = leaves[0] * 1.0  # a node output that nothing but ``x`` holds
+    out = multi_head_window_sgu(x, p, grid)
+    whole = weakref.ref(x.data)
+    del x
+    assert whole() is None
+    backward((out * r).sum())
+    backward((multi_head_window_sgu(leaves[1] * 1.0, p, grid) * r).sum())
+    assert np.array_equal(leaves[0].grad, leaves[1].grad)
+    with no_grad():
+        assert multi_head_window_sgu(Tensor(data), p, grid)._vjp is None

@@ -270,3 +270,33 @@ def test_every_primitive_passes_the_gradcheck_suite():
     assert {"add", "mul", "matmul", "reshape", "transpose", "getitem", "pad", "sum",
             "exp", "log", "gelu", "layer_norm", "take"} <= set(results)
     assert max(results.values()) < 1e-5
+
+
+# -- backward releases the graph ----------------------------------------------
+
+
+def test_second_backward_over_one_graph_raises():
+    a = randt(3)
+    loss = (a * a).sum()
+    backward(loss)
+    with pytest.raises(RuntimeError, match="one backward"):
+        backward(loss)
+
+
+def test_backward_frees_what_the_vjps_captured_while_the_loss_lives():
+    x, w = randt(4, 3), randt(3, 5)
+    h = x @ w
+    loss = gelu(h).sum()  # gelu's vjp reads its input
+    captured = weakref.ref(h.data)
+    del h
+    assert captured() is not None
+    backward(loss)
+    assert captured() is None
+
+
+def test_backward_leaves_no_vjp_behind():
+    a = randt(2, 3)
+    mid = a * a
+    out = mid.sum()
+    backward(out)
+    assert out._vjp is None and mid._vjp is None
