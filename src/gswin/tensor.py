@@ -3,7 +3,9 @@
 Every operation records a graph node on its output: the vector-Jacobian-
 product closure and the nodes or leaves its gradient flows to. A node holds
 no value; each vjp captures only the arrays it reads, so an intermediate
-value lives only while its caller holds it or a vjp needs it. ``backward``
+value lives only while its caller holds it or a vjp needs it. GELU's vjp
+reads one array, its slope, which the forward computes when it records a
+node; it keeps neither the input nor the normal CDF. ``backward``
 walks the nodes once in reverse topological order, accumulates gradients on
 the leaves and releases each vjp as it runs it, so a graph takes one backward.
 Data lives in numpy arrays (float64 by default; tests rely on 64-bit precision).
@@ -308,16 +310,27 @@ def take(t: Tensor, indices: np.ndarray) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Gaussian Error Linear Unit, exact erf form."""
+    """Gaussian Error Linear Unit, exact erf form.
+
+    When a node is recorded, the forward also computes the slope
+    ``cdf + x * pdf`` and the vjp keeps only that array, not ``x`` or ``cdf``;
+    otherwise it computes the output alone.
+    """
     x_data = x.data
     cdf = 0.5 * (1.0 + _erf(x_data * _INV_SQRT2))
     out_data = x_data * cdf
-
-    def vjp(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x_data * x_data)
-        return (g * (cdf + x_data * pdf),)
-
-    return Tensor._result(out_data, (x,), vjp)
+    slope = None
+    if Tensor._records((x,)):
+        # The closed form's operations in its order, in place on one buffer, so
+        # the gradient rounds as g * (cdf + x * pdf) with
+        # pdf = _INV_SQRT_2PI * exp(-0.5 * x * x) does.
+        slope = np.multiply(x_data, -0.5)
+        slope *= x_data
+        np.exp(slope, out=slope)
+        slope *= _INV_SQRT_2PI
+        slope *= x_data
+        slope += cdf
+    return Tensor._result(out_data, (x,), lambda g: (g * slope,))
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

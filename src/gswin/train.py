@@ -221,12 +221,12 @@ def train(model: GswinModel, task: SyntheticTask, config: TrainConfig,
         idx = np.array(queue[:config.batch_size])
         del queue[:config.batch_size]
 
+        model.zero_grads()
         logits = model.forward(Tensor(task.train_x[idx]), training=True, rng=branch_rng)
         loss = cross_entropy(logits, task.train_y[idx], smoothing=config.label_smoothing)
         loss_v = float(loss.data)
         if not np.isfinite(loss_v):
             raise RuntimeError(f"loss diverged at step {t}: {loss_v}")
-        model.zero_grads()
         backward(loss)
         # Free this step's graph now, so the next forward does not build its
         # own while this one is still alive.
@@ -238,6 +238,10 @@ def train(model: GswinModel, task: SyntheticTask, config: TrainConfig,
             if not math.isfinite(np.vdot(g, g)) and not np.isfinite(g).all():
                 raise RuntimeError(f"non-finite gradient at step {t} in {p.name}")
         adamw_step(params, grads, state, t, config, decay_mask=mask)
+        # Drop the list and the loop's last gradient; ``zero_grads`` at the top
+        # of the loop drops the rest, so no gradient of this step lives through
+        # the next step's forward and backward.
+        del grads, g
 
         history.steps.append(t)
         history.lrs.append(lr_at(t, config))

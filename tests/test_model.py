@@ -1,4 +1,6 @@
 """Backbone assembly: shapes, residual structure, determinism, serialization."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,27 @@ def test_single_block_gradcheck():
     worst = check_gradients(lambda: (blk.forward(x, False, None) * r).sum(),
                             [x] + blk.parameters(), tol=1e-4, floor=1e-4)
     assert worst < 1e-4
+
+
+@pytest.mark.parametrize("shifted, budget", [(False, 21.0), (True, 23.0)])
+def test_training_block_holds_its_activation_budget(shifted, budget):
+    # In units of one input-sized array (B*H*W*d float64), a block's graph
+    # holds: GELU's slope 6, the gating node's value half 3, mixed gate 3 and
+    # head-major gate half 3 (plus padding when shifted), proj_out's input 3,
+    # LayerNorm's xhat 1 and proj_in's input 1. A second array kept by any op
+    # breaks the budget.
+    rng = np.random.default_rng(0)
+    blk = GswinBlock(dim=16, resolution=(16, 16), window=(4, 4), heads=2, expansion=6,
+                     shifted=shifted, p_drop=0.0, rel_bias=True, prefix="b", rng=rng)
+    x = Tensor(rng.standard_normal((2, 16, 16, 16)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = blk.forward(x, True, rng)
+        held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert held / x.data.nbytes <= budget
 
 
 # -- serialization --------------------------------------------------------

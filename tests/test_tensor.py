@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from gswin.tensor import (
     Tensor,
@@ -148,6 +149,34 @@ def test_gelu_grad_and_values():
     assert abs(out[2]) < 1e-6
 
 
+def test_gelu_grad_equals_the_closed_form_bit_for_bit():
+    tails = np.linspace(-8.0, 8.0, 41)
+    x_data = np.concatenate([[0.0, 1e-3, -1e-3, 1.0, -1.0], tails,
+                             RNG.standard_normal(64)])
+    g = RNG.standard_normal(x_data.shape)
+    x = Tensor(x_data, requires_grad=True)
+    backward((gelu(x) * Tensor(g)).sum())
+    cdf = 0.5 * (1.0 + erf(x_data * (1.0 / np.sqrt(2.0))))
+    pdf = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x_data * x_data)
+    assert np.array_equal(x.grad, g * (cdf + x_data * pdf))
+
+
+def test_recorded_gelu_keeps_no_view_of_its_input():
+    w = randt(3, 5)
+    x = Tensor(RNG.standard_normal((4, 3))) @ w
+    loss = gelu(x).sum()
+    captured = weakref.ref(x.data)
+    del x
+    assert captured() is None
+    backward(loss)
+    assert w.grad is not None
+
+
+def test_gelu_records_nothing_under_no_grad():
+    with no_grad():
+        assert gelu(randt(4, 3))._vjp is None
+
+
 def test_layer_norm_grad():
     x = randt(2, 5, 6)
     g = Parameter(1.0 + 0.1 * RNG.standard_normal(6), "g")
@@ -286,7 +315,7 @@ def test_second_backward_over_one_graph_raises():
 def test_backward_frees_what_the_vjps_captured_while_the_loss_lives():
     x, w = randt(4, 3), randt(3, 5)
     h = x @ w
-    loss = gelu(h).sum()  # gelu's vjp reads its input
+    loss = (h * h).sum()  # the product's vjp reads both operands
     captured = weakref.ref(h.data)
     del h
     assert captured() is not None

@@ -3,6 +3,7 @@ import csv
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -293,6 +294,29 @@ def test_train_frees_each_step_graph_before_the_next():
 
     one, three = traced_peak(1), traced_peak(3)
     assert three <= 1.5 * one, (one, three)
+
+
+def test_train_frees_each_step_gradients_before_the_next_forward(monkeypatch):
+    model = GswinModel(MICRO, seed=0)
+    sent: list[weakref.ref] = []
+    alive_at_forward: list[int] = []
+    real_adamw, real_forward = gtrain.adamw_step, model.forward
+
+    def adamw(params, grads, *args, **kwargs):
+        sent.extend(weakref.ref(g) for g in grads)
+        return real_adamw(params, grads, *args, **kwargs)
+
+    def forward(images, training=False, rng=None):
+        if training:
+            alive_at_forward.append(sum(ref() is not None for ref in sent))
+        return real_forward(images, training=training, rng=rng)
+
+    monkeypatch.setattr(gtrain, "adamw_step", adamw)
+    monkeypatch.setattr(model, "forward", forward)
+    cfg = TrainConfig(total_steps=3, warmup_steps=0, batch_size=4, eval_every=1000)
+    train(model, micro_task(eval_size=4), cfg)
+    assert len(sent) == 3 * len(model.parameters())
+    assert alive_at_forward == [0, 0, 0]
 
 
 def test_train_aborts_on_divergence():
