@@ -107,8 +107,6 @@ def op_gradcheck_suite(seed: int = 0, tol: float = 1e-5) -> list[tuple[str, floa
         ("matmul", lambda: ((m @ n) * 0.1).sum(), (m, n)),
         ("reshape", lambda: (m.reshape(6, 4) @ n).sum(), (m,)),
         ("transpose", lambda: (m.transpose((2, 0, 1)) * 0.3).sum(), (m,)),
-        ("getitem", lambda: (a[1:, ::2] * b[:2, :2]).sum(), (a, b)),
-        ("pad", lambda: (m.pad(((0, 1), (2, 0), (1, 1))) * 0.5).sum(), (m,)),
         ("sum", lambda: (a.sum(axis=0, keepdims=True) * row.reshape(1, 4)).sum(), (a, row)),
         ("mean", lambda: (m.mean(axis=(0, 2)) * 2.0).sum(), (m,)),
         ("exp", lambda: (a * 0.1).exp().sum(), (a,)),

@@ -83,22 +83,21 @@ class ModelConfig:
         return [self.drop_path_rate * i / (n - 1) for i in range(n)]
 
 
-PRESETS: dict[str, ModelConfig] = {
-    "gswin-vt": ModelConfig(base_channels=60, depths=(2, 4, 10, 4), heads=6,
-                            drop_path_rate=0.25),
-    "gswin-t": ModelConfig(base_channels=64, depths=(4, 4, 16, 4), heads=12,
-                           drop_path_rate=0.35),
-    "gswin-s": ModelConfig(base_channels=72, depths=(4, 4, 32, 4), heads=12,
-                           drop_path_rate=0.5),
-}
-
 # Published per-task drop-path settings. Only the classification column is
-# consumed here (it seeds PRESETS above); detection/segmentation rates are
+# consumed here (it seeds PRESETS below); detection/segmentation rates are
 # recorded for reference since those pipelines are out of scope.
 DROP_PATH_RATES: dict[str, dict[str, float]] = {
     "gswin-vt": {"classification": 0.25, "detection": 0.25, "segmentation": 0.2},
     "gswin-t": {"classification": 0.35, "detection": 0.3, "segmentation": 0.3},
     "gswin-s": {"classification": 0.5, "detection": 0.4, "segmentation": 0.4},
+}
+
+PRESETS: dict[str, ModelConfig] = {
+    name: ModelConfig(base_channels=c, depths=depths, heads=heads,
+                      drop_path_rate=DROP_PATH_RATES[name]["classification"])
+    for name, c, depths, heads in [("gswin-vt", 60, (2, 4, 10, 4), 6),
+                                   ("gswin-t", 64, (4, 4, 16, 4), 12),
+                                   ("gswin-s", 72, (4, 4, 32, 4), 12)]
 }
 
 
@@ -119,8 +118,8 @@ def drop_path(x: Tensor, p_drop: float, training: bool,
     if rng is None:
         raise ValueError("training-mode drop path needs an RNG")
     keep = 1.0 - p_drop
-    mask = (rng.random(x.shape[0]) < keep).astype(x.data.dtype) / keep
-    return x * Tensor(mask.reshape((-1,) + (1,) * (x.ndim - 1)), dtype=x.data.dtype)
+    mask = (rng.random(x.shape[0]) < keep) / keep
+    return x * Tensor(mask.reshape((-1,) + (1,) * (x.ndim - 1)))
 
 
 class GswinBlock:

@@ -175,11 +175,11 @@ def multi_head_window_sgu(x: Tensor, params: SguParams, grid: WindowGrid) -> Ten
     w_eff, b_win = effective_weight(params), params.b_win
     record = Tensor._records((x, w_eff, b_win))
     wt = w_eff.data.transpose(2, 0, 1)
-    # Non-recording wraps keep the window helpers and GEMM visible to a tracer patching them.
-    zh = _head_major(window_partition(Tensor(x.data[..., C:]), grid)[0].data, grid, K)
+    zh = _head_major(window_partition(x.data[..., C:], grid)[0], grid, K)
+    # A non-recording wrap keeps the mixing GEMM visible to a tracer patching ``Tensor``.
     mixed = (Tensor(wt) @ Tensor(zh)).data + b_win.data.T.reshape(K, -1, 1)
     zh = zh if record and w_eff.requires_grad else None
-    m = window_reverse([Tensor(_map_major(mixed, grid, B))], grid).data
+    m = window_reverse([_map_major(mixed, grid, B)], grid)
     del mixed
     if record and x.requires_grad:
         m = np.ascontiguousarray(m)  # drops the crop's padded base before ``out`` exists
@@ -189,13 +189,12 @@ def multi_head_window_sgu(x: Tensor, params: SguParams, grid: WindowGrid) -> Ten
         return Tensor(out)
     # A view of ``x`` would keep the whole (B, H, W, 2C) input alive.
     z1, m = z1.copy(), m if x.requires_grad else None
-    top, bottom, left, right = grid.pads
-    padded = (B, H + top + bottom, W + left + right, C)
-    crop = (slice(None), slice(top, top + H), slice(left, left + W))
+    (nh, nw), (h, w) = grid.counts, grid.window
+    padded = (B, nh * h, nw * w, C)
 
     def vjp(g):
         dm = np.zeros(padded)
-        np.multiply(g, z1, out=dm[crop])
+        np.multiply(g, z1, out=grid.crop(dm))
         dmh = _head_major(dm, grid, K)
         del dm
         dw = None if zh is None else np.matmul(dmh, np.swapaxes(zh, -1, -2)).transpose(1, 2, 0)
@@ -205,7 +204,7 @@ def multi_head_window_sgu(x: Tensor, params: SguParams, grid: WindowGrid) -> Ten
         dx = np.empty((B, H, W, C2))
         np.multiply(g, m, out=dx[..., :C])
         dz = _map_major(np.matmul(np.swapaxes(wt, -1, -2), dmh), grid, B)
-        dx[..., C:] = dz.reshape(padded)[crop]
+        dx[..., C:] = grid.crop(dz.reshape(padded))
         return dx, dw, db
 
     return Tensor._result(out, (x, w_eff, b_win), vjp)

@@ -8,7 +8,7 @@ reads one array, its slope, which the forward computes when it records a
 node; it keeps neither the input nor the normal CDF. ``backward``
 walks the nodes once in reverse topological order, accumulates gradients on
 the leaves and releases each vjp as it runs it, so a graph takes one backward.
-Data lives in numpy arrays (float64 by default; tests rely on 64-bit precision).
+Data lives in float64 numpy arrays; tests rely on 64-bit precision.
 """
 from __future__ import annotations
 
@@ -68,8 +68,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_node")
 
-    def __init__(self, data: Any, requires_grad: bool = False, dtype=np.float64):
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data: Any, requires_grad: bool = False):
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._node: _Node | None = None
@@ -90,12 +90,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     # -- graph plumbing -----------------------------------------------------
 
     @property
@@ -114,7 +108,7 @@ class Tensor:
 
     @staticmethod
     def _result(data, parents, vjp) -> "Tensor":
-        out = Tensor(data, dtype=data.dtype)
+        out = Tensor(data)
         if Tensor._records(parents):
             out.requires_grad = True
             out._node = _Node(tuple(p._node or (p if p.requires_grad else None)
@@ -218,36 +212,11 @@ class Tensor:
         out_data = self.data.transpose(axes)
         return Tensor._result(out_data, (self,), lambda g: (g.transpose(inv),))
 
-    def __getitem__(self, key) -> "Tensor":
-        a_shape, a_dtype = self.shape, self.data.dtype
-        out_data = self.data[key]
-        if not isinstance(out_data, np.ndarray):
-            out_data = np.asarray(out_data)
-
-        def vjp(g):
-            buf = np.zeros(a_shape, dtype=a_dtype)
-            buf[key] += g
-            return (buf,)
-
-        return Tensor._result(out_data, (self,), vjp)
-
-    def pad(self, pad_width: Sequence[tuple[int, int]]) -> "Tensor":
-        """Zero-pad; ``pad_width`` is one (before, after) pair per axis."""
-        pad_width = tuple((int(lo), int(hi)) for lo, hi in pad_width)
-        if len(pad_width) != self.ndim:
-            raise ValueError(f"pad expects {self.ndim} (before, after) pairs, "
-                             f"got {len(pad_width)}")
-        out_data = np.pad(self.data, pad_width)
-        crop = tuple(slice(lo, lo + n) for (lo, _), n in zip(pad_width, self.shape))
-        return Tensor._result(out_data, (self,), lambda g: (g[crop],))
-
     # -- reductions & elementwise ---------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         a_shape = self.shape
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
-        if not isinstance(out_data, np.ndarray):
-            out_data = np.asarray(out_data)
 
         def vjp(g):
             if axis is None:
@@ -260,12 +229,11 @@ class Tensor:
         return Tensor._result(out_data, (self,), vjp)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        a = self
         if axis is None:
-            count = a.size
+            count = self.size
         else:
             axes = axis if isinstance(axis, tuple) else (axis,)
-            count = int(np.prod([a.shape[i] for i in axes]))
+            count = int(np.prod([self.shape[i] for i in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     def exp(self) -> "Tensor":
@@ -298,11 +266,11 @@ def take(t: Tensor, indices: np.ndarray) -> Tensor:
     indices = np.asarray(indices)
     if indices.dtype.kind not in "iu":
         raise ValueError("take expects integer indices")
-    t_shape, t_dtype = t.shape, t.data.dtype
+    t_shape = t.shape
     out_data = t.data[indices]
 
     def vjp(g):
-        buf = np.zeros(t_shape, dtype=t_dtype)
+        buf = np.zeros(t_shape)
         np.add.at(buf, indices, g)
         return (buf,)
 

@@ -33,8 +33,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.warmup_steps > self.total_steps:
             raise ValueError(f"warmup {self.warmup_steps} exceeds total {self.total_steps}")
-        if min(self.lr, self.weight_decay, self.label_smoothing) < 0:
-            raise ValueError("rates must be >= 0")
+        for key in ("lr", "weight_decay", "label_smoothing"):
+            value = getattr(self, key)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"{key} must be finite and >= 0, got {value}")
+        if self.label_smoothing > 1:
+            raise ValueError(f"label_smoothing must lie in [0, 1], got {self.label_smoothing}")
         if self.total_steps < 1 or self.batch_size < 1 or self.eval_every < 1:
             raise ValueError("steps, batch size and eval interval must be >= 1")
 
@@ -144,6 +148,9 @@ class SyntheticTask:
                  seed: int = 0):
         if train_size < 1 or eval_size < 1 or classes < 2:
             raise ValueError("need at least one sample per split and two classes")
+        for key, value in (("noise", noise), ("frequency", frequency)):
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
         self.classes = classes
         self.image_size = image_size
         self.noise = noise

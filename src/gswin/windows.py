@@ -1,12 +1,13 @@
 """Window tiling geometry.
 
 :class:`WindowGrid` is the one description of a layer's tiling: its pad
-widths, window counts and band extents. The gating unit mixes the padded
-map as one uniform window batch per layer.
+widths, window counts and band extents, and the crop back from the padded
+map. The gating unit mixes the padded map as one uniform window batch per
+layer. The window helpers work on numpy arrays.
 """
 from __future__ import annotations
 
-from .tensor import Tensor
+import numpy as np
 
 
 def _check_axis(extent: int, window: int, origin: int) -> None:
@@ -54,28 +55,34 @@ class WindowGrid:
         self.counts = tuple(counts)
         self.bands = tuple(bands)
 
+    def crop(self, a: np.ndarray) -> np.ndarray:
+        """The view of a padded (B, H_pad, W_pad, ...) map that holds the unpadded one."""
+        (H, W), top, left = self.image, self.pads[0], self.pads[2]
+        return a[:, top:top + H, left:left + W]
+
     def __repr__(self) -> str:
         return (f"WindowGrid(image={self.image}, window={self.window}, "
                 f"offset={self.offset}, pads={self.pads})")
 
 
-def window_partition(x: Tensor, grid: WindowGrid) -> list[Tensor]:
+def window_partition(x: np.ndarray, grid: WindowGrid) -> list[np.ndarray]:
     """Pad (B, H, W, C) to whole windows and view it as one window batch.
 
     Returns a one-element list holding the (B, n_h, h, n_w, w, C) view of
-    the padded map; window (i, j) is ``[:, i, :, j, :, :]``.
+    the padded map; window (i, j) is ``[:, i, :, j, :, :]``. An unpadded
+    grid returns a view of ``x`` itself.
     """
     B, H, W, C = x.shape
     if (H, W) != grid.image:
         raise ValueError(f"grid built for {grid.image}, input map is {(H, W)}")
     top, bottom, left, right = grid.pads
     if any(grid.pads):
-        x = x.pad(((0, 0), (top, bottom), (left, right), (0, 0)))
+        x = np.pad(x, ((0, 0), (top, bottom), (left, right), (0, 0)))
     (nh, nw), (h, w) = grid.counts, grid.window
     return [x.reshape(B, nh, h, nw, w, C)]
 
 
-def window_reverse(batches: list[Tensor], grid: WindowGrid) -> Tensor:
+def window_reverse(batches: list[np.ndarray], grid: WindowGrid) -> np.ndarray:
     """Inverse of :func:`window_partition` for the same grid: un-window and crop."""
     if len(batches) != 1:
         raise ValueError(f"expected one window batch, got {len(batches)}")
@@ -83,9 +90,4 @@ def window_reverse(batches: list[Tensor], grid: WindowGrid) -> Tensor:
     (nh, nw), (h, w) = grid.counts, grid.window
     if wins.ndim != 6 or wins.shape[1:5] != (nh, h, nw, w):
         raise ValueError(f"batch shape {wins.shape} does not match grid {grid}")
-    B, C = wins.shape[0], wins.shape[5]
-    x = wins.reshape(B, nh * h, nw * w, C)
-    if any(grid.pads):
-        (H, W), top, left = grid.image, grid.pads[0], grid.pads[2]
-        x = x[:, top:top + H, left:left + W, :]
-    return x
+    return grid.crop(wins.reshape(wins.shape[0], nh * h, nw * w, wins.shape[5]))

@@ -182,9 +182,9 @@ def test_criterion_6_structural_invariants():
                                   ((14, 14), (7, 7), (3, 3)),
                                   ((9, 11), (4, 3), (2, 1))]:
         g = WindowGrid(image, window, offset=offset)
-        t = Tensor(rng.standard_normal((2, image[0], image[1], 5)))
+        t = rng.standard_normal((2, image[0], image[1], 5))
         back = window_reverse(window_partition(t, g), g)
-        if not np.array_equal(back.data, t.data):
+        if not np.array_equal(back, t):
             problems.append(f"partition round-trip broke at {image} offset {offset}")
 
     # relative bias depends only on the token offset (exhaustive, 7x7)

@@ -15,7 +15,6 @@ from gswin.analysis import (
     weight_tile_grid,
 )
 from gswin.model import GswinModel, ModelConfig, PRESETS
-from gswin.tensor import Tensor
 from gswin.windows import window_partition
 
 PARAM_TARGETS = {"gswin-vt": 16e6, "gswin-t": 22e6, "gswin-s": 40e6}
@@ -129,8 +128,8 @@ def test_zero_padding_counts_the_windows_the_model_builds(depths):
     extra = 0
     for blk in (b for blocks in GswinModel(cfg).stages for b in blocks):
         grid = blk.grid
-        ones = Tensor(np.ones((1, *grid.image, 1)))
-        real = window_partition(ones, grid)[0].data.sum(axis=(2, 4, 5)).ravel()
+        ones = np.ones((1, *grid.image, 1))
+        real = window_partition(ones, grid)[0].sum(axis=(2, 4, 5)).ravel()
         T = grid.window[0] * grid.window[1]
         mixing = real.size * T * T - (real ** 2).sum()
         extra += blk.gate_channels * (mixing + 2 * (real.size * T - real.sum()))

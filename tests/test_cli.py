@@ -129,7 +129,7 @@ def test_gradcheck_ops_scope(capsys):
     assert run(["gradcheck", "--scope", "ops"]) == 0
     kv = _lines(capsys)
     assert kv["status"] == "ok"
-    assert int(kv["checks"]) == 17
+    assert int(kv["checks"]) == 15
     assert float(kv["worst_rel_err"]) < 1e-5
 
 
@@ -228,6 +228,19 @@ def test_train_bad_task_value_names_the_key(tmp_path, capsys):
     cfg.write_text(TRAIN_CFG.replace("train_size = 32", "train_size = many"))
     assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
     assert "train_size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("lr", "nan"), ("weight_decay", "nan"),
+                                        ("label_smoothing", "inf"), ("label_smoothing", "1.5"),
+                                        ("noise", "nan"), ("frequency", "inf")])
+def test_train_bad_rate_is_validation_error(tmp_path, capsys, key, value):
+    # these would otherwise start a run that diverges or trains on NaN images
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TRAIN_CFG.replace("lr = 2e-3\n", "") + f"{key} = {value}\n")
+    assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert key in err
+    assert "Traceback" not in err
 
 
 def test_train_requires_config_flag():

@@ -42,7 +42,9 @@ def test_presets_match_published_settings():
     for cfg in (vt, t, s):
         assert cfg.window == (7, 7)
         assert all(d % 2 == 0 for d in cfg.depths)  # alternation stays paired
-    assert DROP_PATH_RATES["gswin-t"]["classification"] == t.drop_path_rate == 0.35
+    published = {"gswin-vt": 0.25, "gswin-t": 0.35, "gswin-s": 0.5}
+    for name, rate in published.items():
+        assert DROP_PATH_RATES[name]["classification"] == PRESETS[name].drop_path_rate == rate
 
 
 def test_config_stage_arithmetic():

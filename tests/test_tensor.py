@@ -105,18 +105,6 @@ def test_reshape_transpose_grad():
     check_gradients(lambda: (a.reshape(6, 4).transpose((1, 0)) * 2.0).sum(), [a])
 
 
-def test_getitem_grad():
-    a = randt(5, 6)
-    check_gradients(lambda: (a[1:4, ::2] * a[1:4, ::2]).sum(), [a])
-
-
-def test_pad_grad():
-    a = randt(3, 4)
-    check_gradients(lambda: (a.pad([(1, 2), (0, 3)]) * 0.5).sum(), [a])
-    with pytest.raises(ValueError):
-        a.pad([(1, 1)])
-
-
 def test_sum_mean_axes_grad():
     a = randt(2, 3, 4)
     check_gradients(lambda: a.sum(axis=(0, 2)).sum(), [a])
@@ -296,7 +284,7 @@ def test_reassigned_vjp_is_what_backward_calls():
 
 def test_every_primitive_passes_the_gradcheck_suite():
     results = dict(op_gradcheck_suite(seed=1))
-    assert {"add", "mul", "matmul", "reshape", "transpose", "getitem", "pad", "sum",
+    assert {"add", "mul", "matmul", "reshape", "transpose", "sum",
             "exp", "log", "gelu", "layer_norm", "take"} <= set(results)
     assert max(results.values()) < 1e-5
 

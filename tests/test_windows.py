@@ -1,8 +1,11 @@
 """Grid geometry: band decompositions, padded tilings, partition round-trips."""
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
-from gswin.tensor import Tensor
+from gswin import windows
 from gswin.windows import WindowGrid, shift_offset, window_partition, window_reverse
 
 
@@ -55,7 +58,7 @@ def test_pad_widths_make_whole_windows():
 def _real_windows(grid):
     """(extent, first index) of the unpadded tokens in each padded window."""
     H, W = grid.image
-    ones = window_partition(Tensor(np.ones((1, H, W, 1))), grid)[0].data[0, ..., 0]
+    ones = window_partition(np.ones((1, H, W, 1)), grid)[0][0, ..., 0]
     out = []
     for i in range(grid.counts[0]):
         for j in range(grid.counts[1]):
@@ -102,7 +105,7 @@ def test_grid_groups_tile_exactly():
                           ((9, 16), (3, 3))]:
         grid = WindowGrid(image, (7, 7), offset=offset)
         ids = np.arange(1, image[0] * image[1] + 1, dtype=np.float64)
-        wins = window_partition(Tensor(ids.reshape(1, *image, 1)), grid)[0].data
+        wins = window_partition(ids.reshape(1, *image, 1), grid)[0]
         seen = np.sort(wins[wins != 0])
         assert np.array_equal(seen, ids), (image, offset)
 
@@ -115,7 +118,7 @@ def test_grid_rejects_bad_geometry():
 
 
 def test_partition_unshifted_counts():
-    x = Tensor(np.arange(2 * 14 * 14 * 3, dtype=np.float64).reshape(2, 14, 14, 3))
+    x = np.arange(2 * 14 * 14 * 3, dtype=np.float64).reshape(2, 14, 14, 3)
     batches = window_partition(x, WindowGrid((14, 14), (7, 7)))
     assert len(batches) == 1
     assert batches[0].shape == (2, 2, 7, 2, 7, 3)
@@ -123,7 +126,7 @@ def test_partition_unshifted_counts():
 
 def test_partition_shifted_is_one_padded_batch():
     # one batch: the 14x14 map padded to 3x3 whole windows
-    x = Tensor(np.zeros((1, 14, 14, 2)))
+    x = np.zeros((1, 14, 14, 2))
     batches = window_partition(x, WindowGrid((14, 14), (7, 7), offset=(3, 3)))
     assert len(batches) == 1
     assert batches[0].shape == (1, 3, 7, 3, 7, 2)
@@ -131,22 +134,50 @@ def test_partition_shifted_is_one_padded_batch():
 
 def test_partition_reverse_round_trip():
     rng = np.random.default_rng(7)
-    x = Tensor(rng.standard_normal((2, 21, 28, 8)))
+    x = rng.standard_normal((2, 21, 28, 8))
     for offset in [(0, 0), (3, 3)]:
         grid = WindowGrid((21, 28), (7, 7), offset=offset)
         back = window_reverse(window_partition(x, grid), grid)
-        assert (back.data == x.data).all()
+        assert (back == x).all()
 
 
 def test_partition_rejects_mismatched_image():
-    x = Tensor(np.zeros((1, 10, 10, 2)))
+    x = np.zeros((1, 10, 10, 2))
     with pytest.raises(ValueError):
         window_partition(x, WindowGrid((14, 14), (7, 7)))
 
 
 def test_partition_windows_carry_correct_tokens():
     # second full window along cols of an unshifted grid holds cols 7..13
-    x = Tensor(np.arange(14 * 14, dtype=np.float64).reshape(1, 14, 14, 1))
+    x = np.arange(14 * 14, dtype=np.float64).reshape(1, 14, 14, 1)
     grid = WindowGrid((14, 14), (7, 7))
     wins = window_partition(x, grid)[0]
-    assert (wins.data[0, 0, :, 1, :, 0] == x.data[0, 0:7, 7:14, 0]).all()
+    assert (wins[0, 0, :, 1, :, 0] == x[0, 0:7, 7:14, 0]).all()
+
+
+def test_partition_of_an_unpadded_grid_is_a_view():
+    x = np.arange(2 * 14 * 14 * 3, dtype=np.float64).reshape(2, 14, 14, 3)
+    (wins,) = window_partition(x, WindowGrid((14, 14), (7, 7)))
+    assert np.shares_memory(wins, x)
+
+
+@pytest.mark.parametrize("image, window, offset", [((14, 14), (7, 7), (3, 3)),
+                                                   ((9, 16), (7, 7), (0, 3)),
+                                                   ((9, 11), (4, 3), (2, 1))])
+def test_crop_of_the_padded_map_is_a_view_of_the_map(image, window, offset):
+    grid = WindowGrid(image, window, offset=offset)
+    x = np.random.default_rng(3).standard_normal((2, *image, 5))
+    top, bottom, left, right = grid.pads
+    padded = np.pad(x, ((0, 0), (top, bottom), (left, right), (0, 0)))
+    cropped = grid.crop(padded)
+    assert np.array_equal(cropped, x)
+    assert np.shares_memory(cropped, padded)
+
+
+def test_windows_does_not_import_the_engine():
+    # the package imports the engine itself, so read the module's own imports
+    tree = ast.parse(inspect.getsource(windows))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
+    assert not {"tensor", "gswin.tensor"} & imported, imported
