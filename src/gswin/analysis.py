@@ -23,7 +23,6 @@ import numpy as np
 
 from .model import GswinModel, ModelConfig
 from .sgu import effective_weight
-from .tensor import no_grad
 from .windows import WindowGrid, shift_offset
 
 FLOPS_PER_LN_ELEMENT = 5
@@ -164,8 +163,7 @@ def effective_mixing_weight(model: GswinModel, stage: int, layer: int, head: int
     sgu = blocks[layer].sgu
     if not 0 <= head < sgu.heads:
         raise ValueError(f"head {head} out of range [0, {sgu.heads})")
-    with no_grad():
-        return effective_weight(sgu).data[:, :, head].copy()
+    return effective_weight(sgu)[:, :, head].copy()
 
 
 def weight_tile_grid(w_eff: np.ndarray, window: tuple[int, int]) -> np.ndarray:

@@ -10,7 +10,7 @@ Subcommands:
     presets         list the built-in model configurations
 
 Output is line-oriented ``key=value``; ``--json`` switches to a JSON document.
-Exit codes: 0 success, 1 usage, 2 validation or I/O error, 3 failed check.
+Exit codes: 0 success, 1 usage, 2 validation, I/O or memory error, 3 failed check.
 The GSWIN_SEED environment variable supplies the default seed where one
 applies (gradcheck, equiv, and train configs that omit ``seed``).
 """
@@ -367,7 +367,7 @@ def run(argv: Sequence[str]) -> int:
     except RuntimeError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -11,7 +11,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tensor as T
+from .sgu import init_sgu_params, multi_head_window_sgu
 from .tensor import Tensor, backward
+from .train import cross_entropy
+from .windows import WindowGrid
 
 
 def numerical_grad(
@@ -75,45 +78,46 @@ def check_gradients(
 
 
 def op_gradcheck_suite(seed: int = 0, tol: float = 1e-5) -> list[tuple[str, float]]:
-    """Finite-difference check of every differentiable primitive.
+    """Finite-difference check of every op that records a graph node.
 
     Returns ``(op name, worst relative error)`` per op; raises AssertionError
     at the first op whose error reaches ``tol``.
     """
     rng = np.random.default_rng(seed)
 
-    def leaf(*shape, positive: bool = False):
-        data = rng.uniform(0.5, 1.5, shape) if positive else rng.standard_normal(shape)
-        return Tensor(data, requires_grad=True)
+    def leaf(*shape):
+        return Tensor(rng.standard_normal(shape), requires_grad=True)
 
     a = leaf(3, 4)
     b = leaf(3, 4)
     row = leaf(4)
     m = leaf(2, 3, 4)
     n = leaf(4, 5)
-    pos = leaf(3, 4, positive=True)
     gamma = leaf(6)
     beta = leaf(6)
     ln_x = leaf(2, 5, 6)
-    idx = rng.integers(0, 3, size=(4, 2))
-    table = leaf(3, 2)
+    labels = rng.integers(0, 4, size=3)
+    gate = init_sgu_params((2, 2), heads=2, gate_channels=4, prefix="gate")
+    for p in (gate.w_win, gate.b_win, gate.rel_table):
+        p.data = rng.standard_normal(p.shape)
+    gate_x = leaf(1, 3, 3, 8)
+    gate_grid = WindowGrid((3, 3), (2, 2), offset=(1, 1))
+    gate_r = Tensor(rng.standard_normal((1, 3, 3, 4)))
 
     cases: list[tuple[str, Callable[[], Tensor], tuple[Tensor, ...]]] = [
         ("add", lambda: ((a + row) * b).sum(), (a, row, b)),
         ("mul", lambda: (a * b * 0.7).sum(), (a, b)),
-        ("neg", lambda: (-a).sum(), (a,)),
-        ("sub", lambda: ((a - b) * (1.0 - a)).sum(), (a, b)),
-        ("div", lambda: (a / 3.0).sum(), (a,)),
         ("matmul", lambda: ((m @ n) * 0.1).sum(), (m, n)),
         ("reshape", lambda: (m.reshape(6, 4) @ n).sum(), (m,)),
         ("transpose", lambda: (m.transpose((2, 0, 1)) * 0.3).sum(), (m,)),
         ("sum", lambda: (a.sum(axis=0, keepdims=True) * row.reshape(1, 4)).sum(), (a, row)),
         ("mean", lambda: (m.mean(axis=(0, 2)) * 2.0).sum(), (m,)),
-        ("exp", lambda: (a * 0.1).exp().sum(), (a,)),
-        ("log", lambda: pos.log().sum(), (pos,)),
         ("gelu", lambda: T.gelu(a).sum(), (a,)),
         ("layer_norm", lambda: (T.layer_norm(ln_x, gamma, beta) * 0.2).sum(), (ln_x, gamma, beta)),
-        ("take", lambda: (T.take(table, idx) * 0.6).sum(), (table,)),
+        ("cross_entropy", lambda: cross_entropy(a, labels, smoothing=0.1), (a,)),
+        ("multi_head_window_sgu", lambda: (multi_head_window_sgu(gate_x, gate, gate_grid)
+                                           * gate_r).sum(),
+         (gate_x, gate.w_win, gate.b_win, gate.rel_table)),
     ]
     results = []
     for name, f, inputs in cases:

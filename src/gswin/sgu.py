@@ -12,10 +12,12 @@ nothing to the real ones and their own outputs are cropped, so the result
 equals slicing the weights for each partial window (the ``padding-free``
 strategy, which the paper counts as cheaper).
 
-A gating layer records one graph node, over the input, the effective weight
-and ``b_win``, with an analytic vjp. It keeps only what that vjp reads: a copy
-of the value half, the mixed gate if the input needs a gradient, and the
-head-major gate half if the weight does.
+A gating layer records one graph node, over the input, ``w_win``, ``b_win``
+and the relative-offset table, with an analytic vjp. The forward builds the
+effective weight in numpy, and the vjp scatters its gradient back onto the
+table. The node keeps only what that vjp reads: a copy of the value half, the
+mixed gate if the input needs a gradient, and the head-major gate half if
+``w_win`` or the table does.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Parameter, Tensor, take
+from .tensor import Parameter, Tensor
 from .windows import WindowGrid, window_partition, window_reverse
 
 
@@ -47,19 +49,17 @@ def toeplitz_index_map(window: tuple[int, int]) -> np.ndarray:
     return (dy + h - 1) * (2 * w - 1) + (dx + w - 1)
 
 
-def materialize_relative_bias(rel_table: Tensor, window: tuple[int, int]) -> Tensor:
+def materialize_relative_bias(rel_table: np.ndarray, window: tuple[int, int]) -> np.ndarray:
     """Expand a relative-offset table (L, K) to mixing-weight form (T, T, K).
 
     Output entry [(x, y), (x', y'), k] = rel_table[index(x - x', y - y'), k];
-    equal relative offsets share one table row, and gradients scatter-add
-    back onto it.
+    equal relative offsets share one table row.
     """
     L = _table_rows(window)
     if rel_table.shape[0] != L:
         raise ValueError(f"table has {rel_table.shape[0]} rows, window {window} needs {L}")
     T = window[0] * window[1]
-    K = rel_table.shape[1]
-    return take(rel_table, toeplitz_index_map(window).reshape(-1)).reshape(T, T, K)
+    return rel_table[toeplitz_index_map(window).reshape(-1)].reshape(T, T, -1)
 
 
 @dataclass
@@ -134,11 +134,11 @@ def _map_major(a: np.ndarray, grid: WindowGrid, batch: int) -> np.ndarray:
             .transpose(3, 4, 1, 5, 2, 0, 6).reshape(batch, nh, h, nw, w, -1))
 
 
-def effective_weight(params: SguParams) -> Tensor:
+def effective_weight(params: SguParams) -> np.ndarray:
     """Learned mixing weight plus the materialized relative-offset bias."""
     if params.rel_table is None:
-        return params.w_win
-    return params.w_win + materialize_relative_bias(params.rel_table, params.window)
+        return params.w_win.data
+    return params.w_win.data + materialize_relative_bias(params.rel_table.data, params.window)
 
 
 def sgu(z: Tensor, params: SguParams) -> Tensor:
@@ -172,13 +172,15 @@ def multi_head_window_sgu(x: Tensor, params: SguParams, grid: WindowGrid) -> Ten
         raise ValueError(f"grid window {grid.window} differs from params window {params.window}")
     B, H, W, _ = x.shape
     K = params.heads
-    w_eff, b_win = effective_weight(params), params.b_win
-    record = Tensor._records((x, w_eff, b_win))
-    wt = w_eff.data.transpose(2, 0, 1)
+    w_win, b_win, table = params.w_win, params.b_win, params.rel_table
+    parents = (x, w_win, b_win) if table is None else (x, w_win, b_win, table)
+    record = Tensor._records(parents)
+    wt = effective_weight(params).transpose(2, 0, 1)
     zh = _head_major(window_partition(x.data[..., C:], grid)[0], grid, K)
     # A non-recording wrap keeps the mixing GEMM visible to a tracer patching ``Tensor``.
     mixed = (Tensor(wt) @ Tensor(zh)).data + b_win.data.T.reshape(K, -1, 1)
-    zh = zh if record and w_eff.requires_grad else None
+    weight_grad = w_win.requires_grad or (table is not None and table.requires_grad)
+    zh = zh if record and weight_grad else None
     m = window_reverse([_map_major(mixed, grid, B)], grid)
     del mixed
     if record and x.requires_grad:
@@ -199,15 +201,19 @@ def multi_head_window_sgu(x: Tensor, params: SguParams, grid: WindowGrid) -> Ten
         del dm
         dw = None if zh is None else np.matmul(dmh, np.swapaxes(zh, -1, -2)).transpose(1, 2, 0)
         db = dmh.sum(axis=2).T if b_win.requires_grad else None
-        if m is None:
-            return None, dw, db
-        dx = np.empty((B, H, W, C2))
-        np.multiply(g, m, out=dx[..., :C])
-        dz = _map_major(np.matmul(np.swapaxes(wt, -1, -2), dmh), grid, B)
-        dx[..., C:] = grid.crop(dz.reshape(padded))
-        return dx, dw, db
+        dtable = None
+        if table is not None and table.requires_grad:
+            dtable = np.zeros(table.shape)
+            np.add.at(dtable, toeplitz_index_map(grid.window).reshape(-1), dw.reshape(-1, K))
+        dx = None
+        if m is not None:
+            dx = np.empty((B, H, W, C2))
+            np.multiply(g, m, out=dx[..., :C])
+            dz = _map_major(np.matmul(np.swapaxes(wt, -1, -2), dmh), grid, B)
+            dx[..., C:] = grid.crop(dz.reshape(padded))
+        return dx, dw, db, dtable
 
-    return Tensor._result(out, (x, w_eff, b_win), vjp)
+    return Tensor._result(out, parents, vjp)
 
 
 def zero_padding_shift_oracle(x: Tensor, params: SguParams, grid: WindowGrid) -> np.ndarray:

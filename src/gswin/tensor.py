@@ -1,7 +1,9 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Every operation records a graph node on its output: the vector-Jacobian-
-product closure and the nodes or leaves its gradient flows to. A node holds
+product closure and the nodes or leaves its gradient flows to. A batched
+matmul, whose right operand has more than two axes, is the one exception: it
+runs forward only and raises if an operand needs a gradient. A node holds
 no value; each vjp captures only the arrays it reads, so an intermediate
 value lives only while its caller holds it or a vjp needs it. GELU's vjp
 reads one array, its slope, which the forward computes when it records a
@@ -146,21 +148,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Tensor":
-        return Tensor._result(-self.data, (self,), lambda g: (-g,))
-
-    def __sub__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Tensor":
-        return Tensor(other) + (-self)
-
-    def __truediv__(self, scalar) -> "Tensor":
-        if isinstance(scalar, Tensor):
-            raise TypeError("tensor/tensor division is not supported; multiply by a reciprocal")
-        return self * (1.0 / scalar)
-
     def __matmul__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
         a_shape, b_shape = self.shape, other.shape
@@ -168,32 +155,28 @@ class Tensor:
             raise ValueError(f"matmul requires >=2-d operands, got {a_shape} @ {b_shape}")
         if a_shape[-1] != b_shape[-2]:
             raise ValueError(f"matmul inner extents differ: {a_shape} @ {b_shape}")
+        if len(b_shape) > 2:
+            # Forward only: the gating unit's mixing GEMM runs here on operands
+            # that need no gradient, so a tracer patching ``Tensor`` counts it.
+            if Tensor._records((self, other)):
+                raise ValueError(f"batched matmul {a_shape} @ {b_shape} records no "
+                                 "gradient; its operands must not require one")
+            return Tensor(np.matmul(self.data, other.data))
         # As in __mul__, each gradient reads only the other operand.
         a_data = self.data if other.requires_grad else None
         b_data = other.data if self.requires_grad else None
-        if len(b_shape) == 2:
-            # Fold a's leading axes into one (N, C) @ (C, D) GEMM: BLAS runs one
-            # large product far faster than a stack of small ones, and the
-            # weight gradient comes out whole, with no stacked temporary to sum.
-            C, D = b_shape
-            out_data = (self.data.reshape(-1, C) @ other.data).reshape(a_shape[:-1] + (D,))
-
-            def vjp(g):
-                # Reshape here, not in the forward: a non-contiguous ``a`` would
-                # otherwise keep a second copy alive until backward.
-                g2 = g.reshape(-1, D)
-                return (None if b_data is None else (g2 @ b_data.T).reshape(a_shape),
-                        None if a_data is None else a_data.reshape(-1, C).T @ g2)
-
-            return Tensor._result(out_data, (self, other), vjp)
-        out_data = np.matmul(self.data, other.data)
+        # Fold a's leading axes into one (N, C) @ (C, D) GEMM: BLAS runs one
+        # large product far faster than a stack of small ones, and the weight
+        # gradient comes out whole, with no stacked temporary to sum.
+        C, D = b_shape
+        out_data = (self.data.reshape(-1, C) @ other.data).reshape(a_shape[:-1] + (D,))
 
         def vjp(g):
-            ga = (None if b_data is None else
-                  _unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a_shape))
-            gb = (None if a_data is None else
-                  _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b_shape))
-            return ga, gb
+            # Reshape here, not in the forward: a non-contiguous ``a`` would
+            # otherwise keep a second copy alive until backward.
+            g2 = g.reshape(-1, D)
+            return (None if b_data is None else (g2 @ b_data.T).reshape(a_shape),
+                    None if a_data is None else a_data.reshape(-1, C).T @ g2)
 
         return Tensor._result(out_data, (self, other), vjp)
 
@@ -236,14 +219,6 @@ class Tensor:
             count = int(np.prod([self.shape[i] for i in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-        return Tensor._result(out_data, (self,), lambda g: (g * out_data,))
-
-    def log(self) -> "Tensor":
-        a_data = self.data
-        return Tensor._result(np.log(a_data), (self,), lambda g: (g / a_data,))
-
 
 class Parameter(Tensor):
     """Trainable tensor with a hierarchical name (unique within a model)."""
@@ -259,22 +234,6 @@ class Parameter(Tensor):
 
 
 # -- free functions ----------------------------------------------------------
-
-
-def take(t: Tensor, indices: np.ndarray) -> Tensor:
-    """Gather rows of ``t`` along axis 0; gradients scatter-add back."""
-    indices = np.asarray(indices)
-    if indices.dtype.kind not in "iu":
-        raise ValueError("take expects integer indices")
-    t_shape = t.shape
-    out_data = t.data[indices]
-
-    def vjp(g):
-        buf = np.zeros(t_shape)
-        np.add.at(buf, indices, g)
-        return (buf,)
-
-    return Tensor._result(out_data, (t,), vjp)
 
 
 def gelu(x: Tensor) -> Tensor:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .checkpoint import atomic_open, save_checkpoint
 from .model import GswinModel
-from .tensor import Parameter, Tensor, backward, no_grad, take
+from .tensor import Parameter, Tensor, backward, no_grad
 
 
 @dataclass
@@ -118,20 +118,32 @@ def default_decay_mask(params: list[Parameter]) -> list[bool]:
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray, smoothing: float = 0.0) -> Tensor:
-    """Mean label-smoothed cross-entropy over a batch of logits (B, n)."""
+    """Mean label-smoothed cross-entropy over a batch of logits (B, n).
+
+    Records one node. The forward and the vjp run the operations of the
+    elementwise chain -(log_softmax(logits) * q).sum(axis=1), summed in sorted
+    order and scaled by 1/B, in that chain's order, so each value rounds as the
+    chain's would.
+    """
     B, n = logits.shape
     if labels.shape != (B,):
         raise ValueError(f"labels shape {labels.shape} does not match batch {B}")
-    shift = Tensor(logits.data.max(axis=1, keepdims=True))  # constant under backward
-    shifted = logits - shift
-    logz = shifted.exp().sum(axis=1, keepdims=True).log()
-    logp = shifted - logz
+    shifted = logits.data + (-logits.data.max(axis=1, keepdims=True))
+    e = np.exp(shifted)
+    se = e.sum(axis=1, keepdims=True)
+    logp = shifted + (-np.log(se))
     q = np.full((B, n), smoothing / n)
     q[np.arange(B), labels] += 1.0 - smoothing
-    nll = -(logp * Tensor(q)).sum(axis=1)
+    nll = -(logp * q).sum(axis=1)
     # Sum the per-sample losses in sorted order, so the batch loss does not
     # depend on the order of the samples in the batch.
-    return take(nll, np.argsort(nll.data, kind="stable")).sum() / B
+    loss = nll[np.argsort(nll, kind="stable")].sum() * (1.0 / B)
+
+    def vjp(g):
+        dlogp = -(g * (1.0 / B)) * q
+        return (dlogp + e * (-dlogp.sum(axis=1, keepdims=True) / se),)
+
+    return Tensor._result(loss, (logits,), vjp)
 
 
 class SyntheticTask:
@@ -213,13 +225,15 @@ def train(model: GswinModel, task: SyntheticTask, config: TrainConfig,
     if model.config.num_classes != task.classes:
         raise ValueError(f"model has {model.config.num_classes} classes, "
                          f"task has {task.classes}")
+    n_train = len(task.train_x)
+    if config.batch_size > n_train:
+        raise ValueError(f"batch_size {config.batch_size} exceeds train_size {n_train}")
     params = model.parameters()
     mask = default_decay_mask(params)
     state: dict = {}
     order_rng = np.random.default_rng(config.seed)
     branch_rng = np.random.default_rng(config.seed + 1)
     history = TrainHistory([], [], [], [], [])
-    n_train = len(task.train_x)
     queue: list[int] = []
 
     for t in range(1, config.total_steps + 1):

@@ -189,7 +189,7 @@ def test_criterion_6_structural_invariants():
 
     # relative bias depends only on the token offset (exhaustive, 7x7)
     table = rng.standard_normal((13 * 13, 2))
-    rel = materialize_relative_bias(Tensor(table), (7, 7)).data
+    rel = materialize_relative_bias(table, (7, 7))
     for p in range(49):
         py, px = divmod(p, 7)
         for q in range(49):

@@ -129,7 +129,7 @@ def test_gradcheck_ops_scope(capsys):
     assert run(["gradcheck", "--scope", "ops"]) == 0
     kv = _lines(capsys)
     assert kv["status"] == "ok"
-    assert int(kv["checks"]) == 15
+    assert int(kv["checks"]) == 11
     assert float(kv["worst_rel_err"]) < 1e-5
 
 
@@ -240,6 +240,16 @@ def test_train_bad_rate_is_validation_error(tmp_path, capsys, key, value):
     assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
     err = capsys.readouterr().err
     assert key in err
+    assert "Traceback" not in err
+
+
+def test_train_out_of_memory_is_validation_error(tmp_path, capsys):
+    # the task's arrays cannot be allocated: numpy raises before touching memory
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TRAIN_CFG.replace("train_size = 32", "train_size = 1000000000000"))
+    assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
     assert "Traceback" not in err
 
 

@@ -16,7 +16,7 @@ from gswin.sgu import (
     toeplitz_index_map,
     zero_padding_shift_oracle,
 )
-from gswin.tensor import Parameter, Tensor, backward, no_grad
+from gswin.tensor import Tensor, backward, no_grad
 from gswin.windows import WindowGrid, window_partition, window_reverse
 
 
@@ -47,24 +47,21 @@ def test_toeplitz_map_exhaustive_window7():
 
 
 def test_materialize_1x1_window():
-    table = Tensor(np.array([[3.5, -1.0]]))
-    out = materialize_relative_bias(table, (1, 1))
+    out = materialize_relative_bias(np.array([[3.5, -1.0]]), (1, 1))
     assert out.shape == (1, 1, 2)
-    assert out.data[0, 0, 0] == 3.5
+    assert out[0, 0, 0] == 3.5
 
 
 def test_materialize_2x1_equal_diagonal():
-    table = Tensor(np.arange(3.0).reshape(3, 1))
-    out = materialize_relative_bias(table, (2, 1))
+    out = materialize_relative_bias(np.arange(3.0).reshape(3, 1), (2, 1))
     assert out.shape == (2, 2, 1)
-    assert out.data[0, 0, 0] == out.data[1, 1, 0]  # relative offset 0
-    assert out.data[1, 0, 0] != out.data[0, 1, 0]  # +1 vs -1 offsets
+    assert out[0, 0, 0] == out[1, 1, 0]  # relative offset 0
+    assert out[1, 0, 0] != out[0, 1, 0]  # +1 vs -1 offsets
 
 
 def test_materialize_diagonal_constancy_window7():
     rng = np.random.default_rng(3)
-    table = Tensor(rng.standard_normal((13 * 13, 2)))
-    out = materialize_relative_bias(table, (7, 7)).data
+    out = materialize_relative_bias(rng.standard_normal((13 * 13, 2)), (7, 7))
     h = w = 7
     seen = {}
     for a in range(49):
@@ -79,17 +76,22 @@ def test_materialize_diagonal_constancy_window7():
 
 def test_materialize_rejects_wrong_table():
     with pytest.raises(ValueError):
-        materialize_relative_bias(Tensor(np.zeros((10, 1))), (7, 7))
+        materialize_relative_bias(np.zeros((10, 1)), (7, 7))
 
 
 def test_materialize_gradients_scatter_to_table():
+    # a 2x2 window reads each table row up to four times; the gating node's
+    # vjp must scatter-add every read back onto its row
     rng = np.random.default_rng(5)
-    table = Parameter(rng.standard_normal((9, 2)) * 0.1, "rel")
-    check_gradients(
-        lambda: (materialize_relative_bias(table, (2, 2))
-                 * materialize_relative_bias(table, (2, 2))).sum(),
-        [table],
-    )
+    p = random_params(rng, (2, 2), heads=2, gate_channels=4)
+    x = Tensor(rng.standard_normal((1, 4, 4, 8)))
+    grid = WindowGrid((4, 4), (2, 2))
+    r = Tensor(rng.standard_normal((1, 4, 4, 4)))
+    check_gradients(lambda: (multi_head_window_sgu(x, p, grid) * r).sum(), [p.rel_table])
+    # the same backward gave w_win the gradient of the effective weight
+    idx = toeplitz_index_map((2, 2))
+    expect = np.stack([p.w_win.grad[idx == row].sum(axis=0) for row in range(9)])
+    np.testing.assert_allclose(p.rel_table.grad, expect, rtol=0, atol=1e-12)
 
 
 # -- plain SGU -------------------------------------------------------------
@@ -354,7 +356,8 @@ def test_window_sgu_gradcheck_shifted_ragged_map():
     assert worst < 1e-4
 
 
-@pytest.mark.parametrize("case", ["no_rel_bias", "input_without_grad", "frozen_params"])
+@pytest.mark.parametrize("case", ["no_rel_bias", "input_without_grad", "frozen_params",
+                                  "frozen_weight_trainable_table"])
 def test_window_sgu_gradcheck_branches_shifted_ragged_map(case):
     # each branch of the gating node's vjp, on the padded-on-all-sides grid above
     rng = np.random.default_rng(15)
@@ -366,6 +369,8 @@ def test_window_sgu_gradcheck_branches_shifted_ragged_map(case):
     if case == "frozen_params":
         for t in params:
             t.requires_grad = False
+    if case == "frozen_weight_trainable_table":
+        p.w_win.requires_grad = False  # the node must still keep the gate half
     wrt = [t for t in (x, *params) if t.requires_grad]
     worst = check_gradients(lambda: (multi_head_window_sgu(x, p, grid) * r).sum(), wrt, tol=1e-4)
     assert worst < 1e-4

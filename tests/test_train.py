@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import gswin.train as gtrain
-from gswin.gradcheck import check_gradients
+from gswin.gradcheck import check_gradients, op_gradcheck_suite
 from gswin.model import GswinModel, ModelConfig
-from gswin.tensor import Parameter, Tensor
+from gswin.tensor import Parameter, Tensor, _Node, _topo_order, backward
 from gswin.train import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -206,6 +206,15 @@ def test_cross_entropy_gradcheck():
     check_gradients(lambda: cross_entropy(logits, labels, smoothing=0.1), [logits])
 
 
+def test_cross_entropy_records_one_node_over_the_logits():
+    w = Parameter(np.random.default_rng(3).standard_normal((4, 5)), "w")
+    logits = Tensor(np.ones((3, 4))) @ w
+    loss = cross_entropy(logits, np.array([1, 4, 0]), smoothing=0.1)
+    assert loss._node.parents == (logits._node,)
+    assert [n for n in _topo_order(loss._node) if isinstance(n, _Node)] == [
+        logits._node, loss._node]
+
+
 def test_cross_entropy_label_shape_error():
     with pytest.raises(ValueError):
         cross_entropy(Tensor(np.zeros((2, 3))), np.zeros((3,), dtype=int))
@@ -388,6 +397,47 @@ def test_train_rejects_class_mismatch():
     with pytest.raises(ValueError):
         train(model, micro_task(classes=6, train_size=12, eval_size=6),
               TrainConfig(total_steps=1, warmup_steps=0))
+
+
+def test_train_rejects_a_batch_larger_than_the_training_split():
+    model = GswinModel(MICRO, seed=0)
+    with pytest.raises(ValueError, match="batch_size 64 exceeds train_size 32"):
+        train(model, micro_task(), TrainConfig(total_steps=1, warmup_steps=0, batch_size=64))
+
+
+@pytest.fixture(scope="module")
+def criterion7_step_vjps():
+    """The vjp names of the nodes of the criterion-7 recipe's first training step."""
+    graphs = []
+
+    def capture(loss):
+        graphs.append([n.vjp.__qualname__ for n in _topo_order(loss._node)
+                       if isinstance(n, _Node)])
+        backward(loss)
+
+    model = GswinModel(ModelConfig(base_channels=16, depths=(2, 2, 2, 2), heads=4,
+                                   window=(4, 4), num_classes=10, image_size=32), seed=0)
+    task = SyntheticTask(classes=10, image_size=32, train_size=512, eval_size=16, seed=0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gtrain, "backward", capture)
+        train(model, task, TrainConfig(total_steps=1, warmup_steps=0, seed=0))
+    return graphs[0]
+
+
+def test_criterion7_step_records_at_most_91_nodes(criterion7_step_vjps):
+    # one node per gating layer and one for the loss; the relative-offset
+    # tables and the loss chain add none of their own
+    assert len(criterion7_step_vjps) <= 91
+
+
+def test_engine_keeps_only_what_the_model_records(criterion7_step_vjps):
+    # the op that recorded a node is the function its vjp was defined in
+    recorded = {name.split(".<locals>")[0].rsplit(".", 1)[-1].strip("_")
+                for name in criterion7_step_vjps}
+    suite = {name for name, _ in op_gradcheck_suite(seed=0)}
+    assert recorded <= suite, recorded - suite
+    # ``mean`` is a composite of ``sum`` and ``mul``, and records neither itself
+    assert suite - recorded == {"mean"}
 
 
 def test_evaluate_counts_correct_argmax():
