@@ -17,7 +17,9 @@ and the relative-offset table, with an analytic vjp. The forward builds the
 effective weight in numpy, and the vjp scatters its gradient back onto the
 table. The node keeps only what that vjp reads: a copy of the value half, the
 mixed gate if the input needs a gradient, and the head-major gate half if
-``w_win`` or the table does.
+``w_win`` or the table does. When it keeps the mixed gate, the output carries
+the recipe ``z1 * m`` (see :mod:`gswin.tensor`), so the projection after it
+keeps no copy of the gated map and rebuilds it in backward.
 """
 from __future__ import annotations
 
@@ -213,7 +215,10 @@ def multi_head_window_sgu(x: Tensor, params: SguParams, grid: WindowGrid) -> Ten
             dx[..., C:] = grid.crop(dz.reshape(padded))
         return dx, dw, db, dtable
 
-    return Tensor._result(out, parents, vjp)
+    y = Tensor._result(out, parents, vjp)
+    if m is not None:
+        y._remake = lambda: z1 * m
+    return y
 
 
 def zero_padding_shift_oracle(x: Tensor, params: SguParams, grid: WindowGrid) -> np.ndarray:

@@ -7,7 +7,13 @@ runs forward only and raises if an operand needs a gradient. A node holds
 no value; each vjp captures only the arrays it reads, so an intermediate
 value lives only while its caller holds it or a vjp needs it. GELU's vjp
 reads one array, its slope, which the forward computes when it records a
-node; it keeps neither the input nor the normal CDF. ``backward``
+node; it keeps neither the input nor the normal CDF. One exception lets a
+node keep less than its vjp reads: a matmul whose weight needs a gradient
+keeps, instead of its left operand, the recipe that the operand's producer
+offers (``Tensor._remake``). A producer offers one only when its own vjp
+already keeps the factors of its output, as LayerNorm keeps ``xhat``; the
+recipe rebuilds the output with the forward's elementwise operations, so the
+weight gradient keeps its bits. ``backward``
 walks the nodes once in reverse topological order, accumulates gradients on
 the leaves and releases each vjp as it runs it, so a graph takes one backward.
 Data lives in float64 numpy arrays; tests rely on 64-bit precision.
@@ -68,13 +74,15 @@ class _Node:
 class Tensor:
     """N-dimensional value array, optionally attached to a computation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_node")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "_remake")
 
     def __init__(self, data: Any, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._node: _Node | None = None
+        # A recorded producer's recipe: rebuilds ``data`` bit for bit from arrays its vjp keeps.
+        self._remake: Callable[[], np.ndarray] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -162,8 +170,10 @@ class Tensor:
                 raise ValueError(f"batched matmul {a_shape} @ {b_shape} records no "
                                  "gradient; its operands must not require one")
             return Tensor(np.matmul(self.data, other.data))
-        # As in __mul__, each gradient reads only the other operand.
-        a_data = self.data if other.requires_grad else None
+        # As in __mul__, each gradient reads only the other operand; for the
+        # weight's, keep ``a``'s recipe instead of ``a`` when it has one.
+        remake = self._remake if other.requires_grad else None
+        a_data = self.data if other.requires_grad and remake is None else None
         b_data = other.data if self.requires_grad else None
         # Fold a's leading axes into one (N, C) @ (C, D) GEMM: BLAS runs one
         # large product far faster than a stack of small ones, and the weight
@@ -175,8 +185,10 @@ class Tensor:
             # Reshape here, not in the forward: a non-contiguous ``a`` would
             # otherwise keep a second copy alive until backward.
             g2 = g.reshape(-1, D)
-            return (None if b_data is None else (g2 @ b_data.T).reshape(a_shape),
-                    None if a_data is None else a_data.reshape(-1, C).T @ g2)
+            a = a_data if remake is None else remake()
+            dw = None if a is None else a.reshape(-1, C).T @ g2
+            del a  # a rebuilt input is freed before the input gradient is made
+            return None if b_data is None else (g2 @ b_data.T).reshape(a_shape), dw
 
         return Tensor._result(out_data, (self, other), vjp)
 
@@ -261,7 +273,12 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then apply the affine (gamma, beta)."""
+    """Normalize over the last axis, then apply the affine (gamma, beta).
+
+    The vjp keeps ``xhat`` and the inverse deviation. A recorded output also
+    carries the recipe ``xhat * gamma + beta``, so a matmul it feeds keeps no
+    copy of it.
+    """
     C = x.shape[-1] if x.ndim else 0
     if C == 0:
         raise ValueError("layer_norm requires a non-empty channel axis")
@@ -272,8 +289,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     var = np.mean(centered * centered, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
-    gamma_data = gamma.data
-    out_data = xhat * gamma_data + beta.data
+    gamma_data, beta_data = gamma.data, beta.data
+    out_data = xhat * gamma_data + beta_data
 
     def vjp(g):
         lead = tuple(range(g.ndim - 1))
@@ -287,7 +304,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         )
         return dx, dgamma, dbeta
 
-    return Tensor._result(out_data, (x, gamma, beta), vjp)
+    out = Tensor._result(out_data, (x, gamma, beta), vjp)
+    if out._node is not None:
+        out._remake = lambda: xhat * gamma_data + beta_data
+    return out
 
 
 def _topo_order(root) -> list:
@@ -318,6 +338,10 @@ def backward(loss: Tensor) -> None:
     freeing what the vjp captured. A second call through a released node
     raises ``RuntimeError``; calls on freshly built graphs accumulate into
     existing leaf gradients.
+
+    The vjps read parameters by reference: the matmul's input gradient reads
+    the weight, and a rebuilt operand reads LayerNorm's gamma and beta. So a
+    graph's backward must run before its parameters change.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
