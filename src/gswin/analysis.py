@@ -40,13 +40,6 @@ class CostReport:
     strategy: str | None = None
     convention: str = CONVENTION
 
-    def as_dict(self) -> dict:
-        out = {"total_params": self.total_params, "per_module": dict(self.per_module),
-               "convention": self.convention}
-        if self.flops is not None:
-            out.update(flops=self.flops, resolution=self.resolution, strategy=self.strategy)
-        return out
-
 
 def _block_params(dim: int, window: tuple[int, int], heads: int, expansion: int,
                   rel_bias: bool) -> int:

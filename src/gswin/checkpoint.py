@@ -17,6 +17,7 @@ Version-1 files carried no config and are rejected.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 import typing
@@ -76,33 +77,36 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
 def read_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     """Read a checkpoint back as its model config and name -> float32 array.
 
-    A file that is not a checkpoint, is cut short anywhere, or holds a config
-    that does not parse or does not match the parameter count raises
-    ``ValueError`` naming the path.
+    A file that is not a checkpoint, is cut short anywhere, holds a record
+    that does not decode, or holds a config that does not parse or does not
+    match the parameter count raises ``ValueError`` naming the path.
     """
     blob = Path(path).read_bytes()
+    try:
+        return _decode_checkpoint(blob)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _decode_checkpoint(blob: bytes) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     if blob[:4] != MAGIC:
-        raise ValueError(f"{path}: not a checkpoint (bad magic {blob[:4]!r})")
+        raise ValueError(f"not a checkpoint (bad magic {blob[:4]!r})")
     view = memoryview(blob)
     off = 4
 
     def read(nbytes: int, what: str) -> memoryview:
         nonlocal off
         if off + nbytes > len(blob):
-            raise ValueError(f"{path}: truncated at byte {len(blob)}: {what} needs "
+            raise ValueError(f"truncated at byte {len(blob)}: {what} needs "
                              f"{nbytes} bytes from offset {off}")
         off += nbytes
         return view[off - nbytes:off]
 
     version, config_len = struct.unpack("<BI", read(5, "header"))
     if version != VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        raise ValueError(f"unsupported checkpoint version {version}")
     config_bytes = bytes(read(config_len, "config"))
-    try:
-        config = model_config_from_mapping(
-            parse_config_text(config_bytes.decode("utf-8"), "config"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    config = model_config_from_mapping(parse_config_text(config_bytes.decode("utf-8"), "config"))
     (count,) = struct.unpack("<I", read(4, "parameter count"))
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
@@ -110,14 +114,14 @@ def read_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
         name = bytes(read(nlen, "name")).decode("utf-8")
         (ndim,) = struct.unpack("<B", read(1, f"{name} rank"))
         shape = struct.unpack(f"<{ndim}I", read(4 * ndim, f"{name} shape"))
-        n = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+        n = math.prod(shape)  # Python ints: a hostile shape cannot wrap around
         out[name] = np.frombuffer(read(4 * n, f"{name} values"), dtype="<f4").reshape(shape).copy()
     if off != len(blob):
-        raise ValueError(f"{path}: {len(blob) - off} trailing bytes")
+        raise ValueError(f"{len(blob) - off} trailing bytes")
     # before anyone builds the model, so a hostile config allocates nothing
     expected, stored = count_params(config).total_params, sum(a.size for a in out.values())
     if expected != stored:
-        raise ValueError(f"{path}: config describes {expected} parameters, file holds {stored}")
+        raise ValueError(f"config describes {expected} parameters, file holds {stored}")
     return config, out
 
 

@@ -32,7 +32,7 @@ from .checkpoint import (MODEL_KEYS, model_config_from_mapping, model_from_check
 from .gradcheck import check_gradients, op_gradcheck_suite
 from .model import DROP_PATH_RATES, PRESETS, GswinBlock, GswinModel, ModelConfig
 from .sgu import init_sgu_params, multi_head_window_sgu, zero_padding_shift_oracle
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 from .train import SyntheticTask, TrainConfig, cross_entropy, train
 from .windows import WindowGrid, shift_offset
 
@@ -86,8 +86,6 @@ def _emit(payload: dict, as_json: bool) -> None:
         if isinstance(value, dict):
             for sub, v in value.items():
                 print(f"{key}.{sub}={v}")
-        elif isinstance(value, list):
-            print(f"{key}={','.join(str(v) for v in value)}")
         else:
             print(f"{key}={value}")
 
@@ -188,7 +186,8 @@ def _equiv_case(rng: np.random.Generator, image: tuple[int, int], window: tuple[
     grid = WindowGrid(image, window, offset=shift_offset(window, shifted))
     B = int(rng.integers(1, 3))
     x = Tensor(rng.standard_normal((B, image[0], image[1], 2 * gate)))
-    fast = multi_head_window_sgu(x, params, grid)
+    with no_grad():  # the gates are parameters, but the battery never calls backward
+        fast = multi_head_window_sgu(x, params, grid)
     slow = zero_padding_shift_oracle(x, params, grid)
     return float(np.max(np.abs(fast.data - slow)))
 

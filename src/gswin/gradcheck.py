@@ -16,12 +16,10 @@ from .tensor import Tensor, backward
 from .train import cross_entropy
 from .windows import WindowGrid
 
+_STEP = 1e-6
 
-def numerical_grad(
-    f: Callable[[], Tensor],
-    wrt: Tensor,
-    step: float = 1e-6,
-) -> np.ndarray:
+
+def numerical_grad(f: Callable[[], Tensor], wrt: Tensor) -> np.ndarray:
     """Central-difference gradient of the scalar ``f()`` w.r.t. ``wrt.data``.
 
     ``f`` must re-read ``wrt.data`` on every call (i.e. rebuild its graph).
@@ -30,12 +28,12 @@ def numerical_grad(
     grad = np.zeros_like(flat)
     for i in range(flat.size):
         keep = flat[i]
-        flat[i] = keep + step
+        flat[i] = keep + _STEP
         up = float(f().data)
-        flat[i] = keep - step
+        flat[i] = keep - _STEP
         down = float(f().data)
         flat[i] = keep
-        grad[i] = (up - down) / (2.0 * step)
+        grad[i] = (up - down) / (2.0 * _STEP)
     return grad.reshape(wrt.shape)
 
 
@@ -48,7 +46,6 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-6) 
 def check_gradients(
     f: Callable[[], Tensor],
     inputs: Sequence[Tensor],
-    step: float = 1e-6,
     tol: float = 1e-5,
     floor: float = 1e-6,
 ) -> float:
@@ -70,7 +67,7 @@ def check_gradients(
     worst = 0.0
     for t in inputs:
         assert t.grad is not None, f"no gradient reached input with shape {t.shape}"
-        num = numerical_grad(f, t, step=step)
+        num = numerical_grad(f, t)
         err = max_rel_err(t.grad, num, floor=floor)
         worst = max(worst, err)
         assert err < tol, f"gradient mismatch {err:.3e} >= {tol:.0e} for input shape {t.shape}"

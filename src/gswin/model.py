@@ -78,8 +78,6 @@ class ModelConfig:
     def drop_path_schedule(self) -> list[float]:
         """Per-block drop probabilities, 0 rising linearly to the configured max."""
         n = sum(self.depths)
-        if n == 1:
-            return [self.drop_path_rate]
         return [self.drop_path_rate * i / (n - 1) for i in range(n)]
 
 

@@ -15,11 +15,11 @@ strategy, which the paper counts as cheaper).
 A gating layer records one graph node, over the input, ``w_win``, ``b_win``
 and the relative-offset table, with an analytic vjp. The forward builds the
 effective weight in numpy, and the vjp scatters its gradient back onto the
-table. The node keeps only what that vjp reads: a copy of the value half, the
-mixed gate if the input needs a gradient, and the head-major gate half if
-``w_win`` or the table does. When it keeps the mixed gate, the output carries
-the recipe ``z1 * m`` (see :mod:`gswin.tensor`), so the projection after it
-keeps no copy of the gated map and rebuilds it in backward.
+table. A recorded node keeps what that vjp reads, a copy of the value half,
+the mixed gate and the head-major gate half, and forms every parent's
+gradient; ``backward`` drops those of parents that need none. Its output
+carries the recipe ``z1 * m`` (see :mod:`gswin.tensor`), so the projection
+after it keeps no copy of the gated map and rebuilds it in backward.
 """
 from __future__ import annotations
 
@@ -181,18 +181,15 @@ def multi_head_window_sgu(x: Tensor, params: SguParams, grid: WindowGrid) -> Ten
     zh = _head_major(window_partition(x.data[..., C:], grid)[0], grid, K)
     # A non-recording wrap keeps the mixing GEMM visible to a tracer patching ``Tensor``.
     mixed = (Tensor(wt) @ Tensor(zh)).data + b_win.data.T.reshape(K, -1, 1)
-    weight_grad = w_win.requires_grad or (table is not None and table.requires_grad)
-    zh = zh if record and weight_grad else None
+    zh = zh if record else None
     m = window_reverse([_map_major(mixed, grid, B)], grid)
     del mixed
-    if record and x.requires_grad:
-        m = np.ascontiguousarray(m)  # drops the crop's padded base before ``out`` exists
     z1 = x.data[..., :C]
-    out = z1 * m
     if not record:
-        return Tensor(out)
-    # A view of ``x`` would keep the whole (B, H, W, 2C) input alive.
-    z1, m = z1.copy(), m if x.requires_grad else None
+        return Tensor(z1 * m)
+    m = np.ascontiguousarray(m)  # drops the crop's padded base before ``out`` exists
+    z1 = z1.copy()  # a view of ``x`` would keep the whole (B, H, W, 2C) input alive
+    out = z1 * m
     (nh, nw), (h, w) = grid.counts, grid.window
     padded = (B, nh * h, nw * w, C)
 
@@ -201,23 +198,20 @@ def multi_head_window_sgu(x: Tensor, params: SguParams, grid: WindowGrid) -> Ten
         np.multiply(g, z1, out=grid.crop(dm))
         dmh = _head_major(dm, grid, K)
         del dm
-        dw = None if zh is None else np.matmul(dmh, np.swapaxes(zh, -1, -2)).transpose(1, 2, 0)
-        db = dmh.sum(axis=2).T if b_win.requires_grad else None
+        dw = np.matmul(dmh, np.swapaxes(zh, -1, -2)).transpose(1, 2, 0)
+        db = dmh.sum(axis=2).T
         dtable = None
-        if table is not None and table.requires_grad:
+        if table is not None:
             dtable = np.zeros(table.shape)
             np.add.at(dtable, toeplitz_index_map(grid.window).reshape(-1), dw.reshape(-1, K))
-        dx = None
-        if m is not None:
-            dx = np.empty((B, H, W, C2))
-            np.multiply(g, m, out=dx[..., :C])
-            dz = _map_major(np.matmul(np.swapaxes(wt, -1, -2), dmh), grid, B)
-            dx[..., C:] = grid.crop(dz.reshape(padded))
+        dx = np.empty((B, H, W, C2))
+        np.multiply(g, m, out=dx[..., :C])
+        dz = _map_major(np.matmul(np.swapaxes(wt, -1, -2), dmh), grid, B)
+        dx[..., C:] = grid.crop(dz.reshape(padded))
         return dx, dw, db, dtable
 
     y = Tensor._result(out, parents, vjp)
-    if m is not None:
-        y._remake = lambda: z1 * m
+    y._remake = lambda: z1 * m
     return y
 
 

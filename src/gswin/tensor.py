@@ -8,12 +8,12 @@ no value; each vjp captures only the arrays it reads, so an intermediate
 value lives only while its caller holds it or a vjp needs it. GELU's vjp
 reads one array, its slope, which the forward computes when it records a
 node; it keeps neither the input nor the normal CDF. One exception lets a
-node keep less than its vjp reads: a matmul whose weight needs a gradient
-keeps, instead of its left operand, the recipe that the operand's producer
-offers (``Tensor._remake``). A producer offers one only when its own vjp
-already keeps the factors of its output, as LayerNorm keeps ``xhat``; the
-recipe rebuilds the output with the forward's elementwise operations, so the
-weight gradient keeps its bits. ``backward``
+node keep less than its vjp reads: a recorded 2-D matmul always forms its
+weight's gradient and keeps, instead of its left operand, the recipe that the
+operand's producer offers (``Tensor._remake``). A producer offers one only
+when its own vjp already keeps the factors of its output, as LayerNorm keeps
+``xhat``; the recipe rebuilds the output with the forward's elementwise
+operations, so the weight gradient keeps its bits. ``backward``
 walks the nodes once in reverse topological order, accumulates gradients on
 the leaves and releases each vjp as it runs it, so a graph takes one backward.
 Data lives in float64 numpy arrays; tests rely on 64-bit precision.
@@ -27,6 +27,7 @@ from scipy.special import erf as _erf
 
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+_LN_EPS = 1e-5
 
 _grad_enabled = True
 
@@ -170,10 +171,10 @@ class Tensor:
                 raise ValueError(f"batched matmul {a_shape} @ {b_shape} records no "
                                  "gradient; its operands must not require one")
             return Tensor(np.matmul(self.data, other.data))
-        # As in __mul__, each gradient reads only the other operand; for the
-        # weight's, keep ``a``'s recipe instead of ``a`` when it has one.
-        remake = self._remake if other.requires_grad else None
-        a_data = self.data if other.requires_grad and remake is None else None
+        # As in __mul__, each gradient reads only the other operand. The
+        # weight's is always formed, from ``a``'s recipe instead of ``a`` when
+        # it has one; the input's only when ``a`` needs it (images do not).
+        remake = self._remake or (lambda a=self.data: a)
         b_data = other.data if self.requires_grad else None
         # Fold a's leading axes into one (N, C) @ (C, D) GEMM: BLAS runs one
         # large product far faster than a stack of small ones, and the weight
@@ -185,8 +186,8 @@ class Tensor:
             # Reshape here, not in the forward: a non-contiguous ``a`` would
             # otherwise keep a second copy alive until backward.
             g2 = g.reshape(-1, D)
-            a = a_data if remake is None else remake()
-            dw = None if a is None else a.reshape(-1, C).T @ g2
+            a = remake()
+            dw = a.reshape(-1, C).T @ g2
             del a  # a rebuilt input is freed before the input gradient is made
             return None if b_data is None else (g2 @ b_data.T).reshape(a_shape), dw
 
@@ -195,8 +196,6 @@ class Tensor:
     # -- shape ops ----------------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         a_shape = self.shape
         out_data = self.data.reshape(shape)
         return Tensor._result(out_data, (self,), lambda g: (g.reshape(a_shape),))
@@ -214,11 +213,8 @@ class Tensor:
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
 
         def vjp(g):
-            if axis is None:
-                return (np.broadcast_to(g, a_shape).copy(),)
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            if not keepdims:
-                g = np.expand_dims(g, axes)
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
             return (np.broadcast_to(g, a_shape).copy(),)
 
         return Tensor._result(out_data, (self,), vjp)
@@ -272,7 +268,7 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor._result(out_data, (x,), lambda g: (g * slope,))
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last axis, then apply the affine (gamma, beta).
 
     The vjp keeps ``xhat`` and the inverse deviation. A recorded output also
@@ -287,7 +283,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = np.mean(centered * centered, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = centered * inv
     gamma_data, beta_data = gamma.data, beta.data
     out_data = xhat * gamma_data + beta_data

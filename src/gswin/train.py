@@ -62,6 +62,7 @@ ADAM_EPS = 1e-8
 # Values per AdamW block: the block's parameter, gradient, moments and
 # temporaries (about 7 x 256 KB) stay in L2 while it is updated.
 ADAM_BLOCK = 1 << 15
+EVAL_BATCH = 64  # images per no-grad forward in ``evaluate``
 
 
 def adamw_step(params: list[Parameter], grads: list[np.ndarray],
@@ -201,13 +202,12 @@ class TrainHistory:
         return self.eval_accs[-1]
 
 
-def evaluate(model: GswinModel, images: np.ndarray, labels: np.ndarray,
-             batch_size: int = 64) -> float:
+def evaluate(model: GswinModel, images: np.ndarray, labels: np.ndarray) -> float:
     correct = 0
     with no_grad():
-        for i in range(0, len(images), batch_size):
-            logits = model.forward(Tensor(images[i:i + batch_size]))
-            correct += int((logits.data.argmax(axis=1) == labels[i:i + batch_size]).sum())
+        for i in range(0, len(images), EVAL_BATCH):
+            logits = model.forward(Tensor(images[i:i + EVAL_BATCH]))
+            correct += int((logits.data.argmax(axis=1) == labels[i:i + EVAL_BATCH]).sum())
     return correct / len(images)
 
 

@@ -174,14 +174,6 @@ def test_format_count():
     assert format_count(950) == "950"
 
 
-def test_report_as_dict():
-    r = count_flops(PRESETS["gswin-vt"], 224, "padding-free")
-    d = r.as_dict()
-    assert d["flops"] == r.flops
-    assert d["strategy"] == "padding-free"
-    assert d["total_params"] == r.total_params
-
-
 # -- weight-map export -----------------------------------------------------
 
 

@@ -227,6 +227,19 @@ def test_embed_rejects_bad_inputs():
         m.forward(Tensor(np.zeros((1, 32, 32, 4))))
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: tiny_model(heads=0), "heads must be >= 1"),
+    (lambda: tiny_model(num_classes=0), "num_classes must be >= 1"),
+    (lambda: tiny_model().merges[0].forward(Tensor(np.zeros((1, 3, 4, 8)))),
+     "patch merge needs even extents"),
+    (lambda: tiny_model().forward(Tensor(np.zeros((1, 32, 32, 3))), training=True),
+     "drop path needs an RNG"),
+])
+def test_model_rejects_bad_configs_and_inputs(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def test_single_block_gradcheck():
     rng = np.random.default_rng(10)
     blk = GswinBlock(dim=4, resolution=(4, 4), window=(2, 2), heads=2, expansion=2,
@@ -264,15 +277,15 @@ def test_training_block_holds_its_activation_budget(shifted, budget):
     assert held / x.data.nbytes <= budget
 
 
-@pytest.mark.parametrize("case", ["layer_norm", "sgu", "sgu_input_without_grad",
+@pytest.mark.parametrize("case", ["layer_norm", "sgu", "sgu_frozen_input",
                                   "layer_norm_two_matmuls"])
 def test_projection_rebuilds_its_input_from_the_producer(case):
     # LayerNorm's and the gating layer's vjps keep the factors of their output,
     # so a matmul that needs its weight's gradient keeps none of that output.
-    # A gating layer whose input needs no gradient keeps no mixed gate, so its
-    # matmul keeps the output itself.
+    # A recorded gating layer keeps its mixed gate even when its input needs
+    # no gradient.
     rng = np.random.default_rng(21)
-    x = Tensor(rng.standard_normal((2, 6, 8, 8)), requires_grad=case != "sgu_input_without_grad")
+    x = Tensor(rng.standard_normal((2, 6, 8, 8)), requires_grad=case != "sgu_frozen_input")
     if case.startswith("layer_norm"):
         y = layer_norm(x, Parameter(1.0 + 0.1 * rng.standard_normal(8), "g"),
                        Parameter(0.1 * rng.standard_normal(8), "b"))
@@ -291,7 +304,7 @@ def test_projection_rebuilds_its_input_from_the_producer(case):
     a = y.data.copy()
     kept = weakref.ref(y.data)
     del y
-    assert (kept() is None) == (case != "sgu_input_without_grad")
+    assert kept() is None
     backward(loss)
     for w, g in zip(ws, gs):
         assert np.array_equal(w.grad, a.reshape(-1, C).T @ g.reshape(-1, 5))
@@ -346,6 +359,37 @@ def test_checkpoint_apply_rejects_mismatch(tmp_path):
     arrays.pop("head.fc.b")
     with pytest.raises(ValueError):
         apply_checkpoint(tiny_model(), arrays)
+
+
+def _with_trailing_byte(path):
+    path.write_bytes(path.read_bytes() + b"\0")
+    return load_checkpoint(path)
+
+
+def _apply_edited(path, edit):
+    arrays = load_checkpoint(path)
+    edit(arrays)
+    apply_checkpoint(tiny_model(), arrays)
+
+
+def _config_line_without_equals(path):
+    path.write_text("heads 4\n")
+    return parse_config_file(path)
+
+
+@pytest.mark.parametrize("reject, match", [
+    (_with_trailing_byte, "1 trailing bytes"),
+    (lambda path: _apply_edited(path, lambda a: a.update({"head.fc.b": np.zeros(6)})),
+     r"head.fc.b: checkpoint shape \(6,\) != model shape \(5,\)"),
+    (lambda path: _apply_edited(path, lambda a: a.update({"extra": np.zeros(1)})),
+     r"unknown parameters: \['extra'\]"),
+    (_config_line_without_equals, "m.ckpt:1: expected key = value"),
+])
+def test_checkpoint_and_config_rejections_name_the_fault(tmp_path, reject, match):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, tiny_model())
+    with pytest.raises(ValueError, match=match):
+        reject(path)
 
 
 def test_config_inference_from_checkpoint(tmp_path):

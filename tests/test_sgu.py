@@ -155,6 +155,32 @@ def test_params_validation():
                   window=(2, 2), heads=2, channels_per_head=1)
 
 
+def _rejected_by_the_oracle(x_shape, grid):
+    zero_padding_shift_oracle(Tensor(np.zeros(x_shape)),
+                              init_sgu_params((2, 2), heads=2, gate_channels=4), grid)
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: SguParams(w_win=Tensor(np.zeros((4, 3, 2))), b_win=Tensor(np.zeros((4, 2))),
+                       window=(2, 2), heads=2, channels_per_head=1), "w_win shape"),
+    (lambda: SguParams(w_win=Tensor(np.zeros((4, 4, 2))), b_win=Tensor(np.zeros((4, 2))),
+                       window=(2, 2), heads=2, channels_per_head=1,
+                       rel_table=Tensor(np.zeros((8, 2)))), "rel_table shape"),
+    (lambda: init_sgu_params((2, 2), heads=0, gate_channels=4), "heads must be >= 1"),
+    (lambda: _rejected_by_the_oracle((1, 4, 4, 7), WindowGrid((4, 4), (2, 2))),
+     "channel extent 7 is odd"),
+    (lambda: _rejected_by_the_oracle((1, 4, 4, 6), WindowGrid((4, 4), (2, 2))),
+     "do not divide gate channels 3"),
+    (lambda: _rejected_by_the_oracle((1, 4, 4, 8), WindowGrid((4, 4), (1, 2))),
+     "differs from params window"),
+    (lambda: _rejected_by_the_oracle((1, 4, 6, 8), WindowGrid((4, 4), (2, 2))),
+     r"grid built for \(4, 4\), input map is \(4, 6\)"),
+])
+def test_bad_gating_parameters_and_oracle_inputs_are_rejected(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 # -- windowed multi-head SGU -----------------------------------------------
 
 

@@ -11,7 +11,7 @@ import pytest
 import gswin.train as gtrain
 from gswin.gradcheck import check_gradients, op_gradcheck_suite
 from gswin.model import GswinModel, ModelConfig
-from gswin.tensor import Parameter, Tensor, _Node, _topo_order, backward
+from gswin.tensor import Parameter, Tensor, _Node, _topo_order, backward, layer_norm
 from gswin.train import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -157,6 +157,18 @@ def test_adamw_shape_mismatch():
     p = Parameter(np.zeros(3), "p")
     with pytest.raises(ValueError):
         adamw_step([p], [np.zeros(4)], {}, 1, flat_lr_config())
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: layer_norm(Tensor(np.zeros((2, 0))), Tensor(np.ones(0)), Tensor(np.zeros(0))),
+     "non-empty channel axis"),
+    (lambda: adamw_step([Parameter(np.zeros(3), "p")], [], {}, 1, flat_lr_config()),
+     "params and grads differ in length"),
+    (lambda: micro_task(classes=1), "two classes"),
+])
+def test_engine_and_training_reject_degenerate_inputs(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
 
 
 def test_decay_mask_convention():

@@ -147,6 +147,16 @@ def test_partition_rejects_mismatched_image():
         window_partition(x, WindowGrid((14, 14), (7, 7)))
 
 
+@pytest.mark.parametrize("batches, match", [
+    ([np.zeros((1, 2, 7, 2, 7, 3))] * 2, "expected one window batch, got 2"),
+    ([np.zeros((1, 2, 7, 3, 7, 3))], "does not match grid"),
+    ([np.zeros((1, 14, 14, 3))], "does not match grid"),
+])
+def test_reverse_rejects_batches_the_grid_did_not_make(batches, match):
+    with pytest.raises(ValueError, match=match):
+        window_reverse(batches, WindowGrid((14, 14), (7, 7)))
+
+
 def test_partition_windows_carry_correct_tokens():
     # second full window along cols of an unshifted grid holds cols 7..13
     x = np.arange(14 * 14, dtype=np.float64).reshape(1, 14, 14, 1)
