@@ -23,7 +23,7 @@ import numpy as np
 
 from .model import GswinModel, ModelConfig
 from .sgu import effective_weight
-from .windows import WindowGrid, shift_offset
+from .windows import WindowGrid
 
 FLOPS_PER_LN_ELEMENT = 5
 CONVENTION = "1 MAC = 1 FLOP; biases, gates, GELU (1/elt) and LayerNorm (5/elt) counted"
@@ -107,14 +107,11 @@ def count_flops(config: ModelConfig, resolution: int, strategy: str) -> CostRepo
     LN = FLOPS_PER_LN_ELEMENT
     res = config.stage_resolutions
     total = res[0] ** 2 * (48 * C + C + LN * C)  # embed projection + bias + norm
-    for s, depth in enumerate(config.depths):
-        dim = config.stage_channels[s]
+    for s, dim in enumerate(config.stage_channels):
         gate = config.stage_gate_channels[s]
         hidden = config.expansion * dim
-        win = config.stage_window(s)
         N = res[s] ** 2
-        for i in range(depth):
-            grid = WindowGrid((res[s], res[s]), win, shift_offset(win, i % 2 == 1))
+        for grid in config.block_grids(s):
             sq, toks = _sgu_window_sums(grid, strategy)
             total += LN * N * dim                 # pre-norm
             total += N * dim * hidden + N * hidden  # input projection

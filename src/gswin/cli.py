@@ -128,9 +128,9 @@ def _cmd_flops(args) -> int:
 def _block_gradcheck(seed: int) -> list[tuple[str, float]]:
     """One shifted block on an 8x8 map, every parameter plus the input."""
     rng = np.random.default_rng(seed)
-    block = GswinBlock(dim=4, resolution=(8, 8), window=(4, 4), heads=2,
-                       expansion=2, shifted=True, p_drop=0.0, rel_bias=True,
-                       prefix="block", rng=rng)
+    grid = WindowGrid((8, 8), (4, 4), offset=shift_offset((4, 4), True))
+    block = GswinBlock(dim=4, grid=grid, heads=2, expansion=2, p_drop=0.0,
+                       rel_bias=True, prefix="block", rng=rng)
     for p in (block.sgu.w_win, block.sgu.b_win, block.sgu.rel_table):
         p.data += 0.3 * rng.standard_normal(p.shape)
     x = Tensor(rng.standard_normal((2, 8, 8, 4)), requires_grad=True)

@@ -75,6 +75,12 @@ class ModelConfig:
         res = self.stage_resolutions[s]
         return (min(self.window[0], res), min(self.window[1], res))
 
+    def block_grids(self, s: int) -> list[WindowGrid]:
+        """Stage ``s``'s tilings, one per block; odd blocks shift by half a window."""
+        res, win = self.stage_resolutions[s], self.stage_window(s)
+        return [WindowGrid((res, res), win, shift_offset(win, i % 2 == 1))
+                for i in range(self.depths[s])]
+
     def drop_path_schedule(self) -> list[float]:
         """Per-block drop probabilities, 0 rising linearly to the configured max."""
         n = sum(self.depths)
@@ -120,23 +126,30 @@ def drop_path(x: Tensor, p_drop: float, training: bool,
     return x * Tensor(mask.reshape((-1,) + (1,) * (x.ndim - 1)))
 
 
-class GswinBlock:
-    """One residual gating block at a fixed feature-map geometry."""
+def space_to_depth(x: Tensor, k: int) -> Tensor:
+    """Fold each k x k patch of a (B, H, W, C) map into one token of k*k*C channels."""
+    B, H, W, C = x.shape
+    return (x.reshape(B, H // k, k, W // k, k, C)
+            .transpose((0, 1, 3, 2, 4, 5))
+            .reshape(B, H // k, W // k, k * k * C))
 
-    def __init__(self, dim: int, resolution: tuple[int, int], window: tuple[int, int],
-                 heads: int, expansion: int, shifted: bool, p_drop: float,
-                 rel_bias: bool, prefix: str, rng: np.random.Generator):
+
+class GswinBlock:
+    """One residual gating block over the feature-map tiling ``grid``."""
+
+    def __init__(self, dim: int, grid: WindowGrid, heads: int, expansion: int,
+                 p_drop: float, rel_bias: bool, prefix: str, rng: np.random.Generator):
         self.dim = dim
         self.p_drop = p_drop
         hidden = expansion * dim
         self.gate_channels = hidden // 2
-        self.grid = WindowGrid(resolution, window, offset=shift_offset(window, shifted))
+        self.grid = grid
 
         self.norm_g = Parameter(np.ones(dim), f"{prefix}.norm.gamma")
         self.norm_b = Parameter(np.zeros(dim), f"{prefix}.norm.beta")
         self.w_in = Parameter(_init_weight(rng, (dim, hidden)), f"{prefix}.proj_in.w")
         self.b_in = Parameter(np.zeros(hidden), f"{prefix}.proj_in.b")
-        self.sgu = init_sgu_params(window, heads, self.gate_channels,
+        self.sgu = init_sgu_params(grid.window, heads, self.gate_channels,
                                    rel_bias=rel_bias, prefix=f"{prefix}.sgu")
         self.w_out = Parameter(_init_weight(rng, (self.gate_channels, dim)),
                                f"{prefix}.proj_out.w")
@@ -173,13 +186,10 @@ class _PatchMerge:
         return [self.norm_g, self.norm_b, self.w, self.b]
 
     def forward(self, x: Tensor) -> Tensor:
-        B, H, W, d = x.shape
+        _, H, W, _ = x.shape
         if H % 2 or W % 2:
             raise ValueError(f"patch merge needs even extents, got {(H, W)}")
-        y = (x.reshape(B, H // 2, 2, W // 2, 2, d)
-             .transpose((0, 1, 3, 2, 4, 5))
-             .reshape(B, H // 2, W // 2, 4 * d))
-        y = layer_norm(y, self.norm_g, self.norm_b)
+        y = layer_norm(space_to_depth(x, 2), self.norm_g, self.norm_b)
         return y @ self.w + self.b
 
 
@@ -200,48 +210,36 @@ class GswinModel:
         self.embed_b = Parameter(np.zeros(C), "patch_embed.proj.b")
         self.embed_ng = Parameter(np.ones(C), "patch_embed.norm.gamma")
         self.embed_nb = Parameter(np.zeros(C), "patch_embed.norm.beta")
+        params = [self.embed_w, self.embed_b, self.embed_ng, self.embed_nb]
 
-        rates = config.drop_path_schedule()
+        rates = iter(config.drop_path_schedule())
         self.stages: list[list[GswinBlock]] = []
         self.merges: list[_PatchMerge] = []
-        b_idx = 0
-        for s, depth in enumerate(config.depths):
-            dim = config.stage_channels[s]
-            res = config.stage_resolutions[s]
-            win = config.stage_window(s)
+        for s, dim in enumerate(config.stage_channels):
             blocks = []
-            for i in range(depth):
+            for i, grid in enumerate(config.block_grids(s)):
                 blocks.append(GswinBlock(
-                    dim=dim, resolution=(res, res), window=win, heads=config.heads,
-                    expansion=config.expansion, shifted=(i % 2 == 1),
-                    p_drop=rates[b_idx], rel_bias=config.rel_bias,
+                    dim=dim, grid=grid, heads=config.heads, expansion=config.expansion,
+                    p_drop=next(rates), rel_bias=config.rel_bias,
                     prefix=f"stages.{s}.blocks.{i}", rng=rng))
-                b_idx += 1
+                params += blocks[-1].parameters()
             self.stages.append(blocks)
             if s < 3:
                 self.merges.append(_PatchMerge(dim, f"merges.{s}", rng))
+                params += self.merges[-1].parameters()
 
         D = config.stage_channels[-1]
         self.head_ng = Parameter(np.ones(D), "head.norm.gamma")
         self.head_nb = Parameter(np.zeros(D), "head.norm.beta")
         self.head_w = Parameter(_init_weight(rng, (D, config.num_classes)), "head.fc.w")
         self.head_b = Parameter(np.zeros(config.num_classes), "head.fc.b")
+        params += [self.head_ng, self.head_nb, self.head_w, self.head_b]
 
         self._params: dict[str, Parameter] = {}
-        for p in self._collect():
+        for p in params:
             if p.name in self._params:
                 raise AssertionError(f"duplicate parameter name {p.name}")
             self._params[p.name] = p
-
-    def _collect(self) -> list[Parameter]:
-        ps = [self.embed_w, self.embed_b, self.embed_ng, self.embed_nb]
-        for s, blocks in enumerate(self.stages):
-            for blk in blocks:
-                ps += blk.parameters()
-            if s < 3:
-                ps += self.merges[s].parameters()
-        ps += [self.head_ng, self.head_nb, self.head_w, self.head_b]
-        return ps
 
     def parameters(self) -> list[Parameter]:
         return list(self._params.values())
@@ -259,20 +257,15 @@ class GswinModel:
     # -- forward paths ------------------------------------------------------
 
     def _embed(self, images: Tensor) -> Tensor:
-        B, H, W, Cin = images.shape
+        _, H, W, Cin = images.shape
         if Cin != 3:
             raise ValueError(f"expected 3 input channels, got {Cin}")
         if H % 4 or W % 4:
             raise ValueError(f"image extents {(H, W)} must be divisible by 4")
-        x = (images.reshape(B, H // 4, 4, W // 4, 4, 3)
-             .transpose((0, 1, 3, 2, 4, 5))
-             .reshape(B, H // 4, W // 4, 48))
-        x = x @ self.embed_w + self.embed_b
+        x = space_to_depth(images, 4) @ self.embed_w + self.embed_b
         return layer_norm(x, self.embed_ng, self.embed_nb)
 
     def _trunk(self, images: Tensor, training: bool, rng) -> list[Tensor]:
-        if training and self.config.drop_path_rate > 0 and rng is None:
-            raise ValueError("training forward with drop path needs an RNG")
         x = self._embed(images)
         pyramid = []
         for s, blocks in enumerate(self.stages):

@@ -2,8 +2,8 @@
 
 The gating step splits tokens channel-wise into a value half and a gate half,
 mixes the gate half spatially with a learned token-by-token weight per head,
-and multiplies: Y = Z1 * (W Z2 + b). Windowed variants apply the same rule
-independently inside each window of a :class:`~gswin.windows.WindowGrid`.
+and multiplies: Y = Z1 * (W Z2 + b). :func:`multi_head_window_sgu` applies
+this rule in each window of a :class:`~gswin.windows.WindowGrid`.
 
 Partial windows of a shifted or ragged grid are zero-padded to whole windows
 (the ``zero-padding`` strategy of :mod:`gswin.analysis`), so each layer mixes
@@ -141,20 +141,6 @@ def effective_weight(params: SguParams) -> np.ndarray:
     if params.rel_table is None:
         return params.w_win.data
     return params.w_win.data + materialize_relative_bias(params.rel_table.data, params.window)
-
-
-def sgu(z: Tensor, params: SguParams) -> Tensor:
-    """Plain gating over one full window of tokens.
-
-    ``z`` is (N, 2C): N tokens carrying value and gate halves. N must equal
-    the window's token count.
-    """
-    N, C2 = z.shape
-    h, w = params.window
-    if N != h * w:
-        raise ValueError(f"{N} tokens do not fill a {h}x{w} window")
-    y = multi_head_window_sgu(z.reshape(1, h, w, C2), params, WindowGrid((h, w), (h, w)))
-    return y.reshape(N, y.shape[-1])
 
 
 def multi_head_window_sgu(x: Tensor, params: SguParams, grid: WindowGrid) -> Tensor:

@@ -220,12 +220,8 @@ class Tensor:
         return Tensor._result(out_data, (self,), vjp)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        if axis is None:
-            count = self.size
-        else:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            count = int(np.prod([self.shape[i] for i in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+        total = self.sum(axis=axis, keepdims=keepdims)
+        return total * (total.size / self.size)
 
 
 class Parameter(Tensor):

@@ -31,6 +31,8 @@ class TrainConfig:
     eval_every: int = 100
 
     def __post_init__(self):
+        if self.warmup_steps < 0:
+            raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
         if self.warmup_steps > self.total_steps:
             raise ValueError(f"warmup {self.warmup_steps} exceeds total {self.total_steps}")
         for key in ("lr", "weight_decay", "label_smoothing"):

@@ -18,7 +18,7 @@ from gswin.cli import GRADCHECK_CONFIG
 from gswin.gradcheck import check_gradients, op_gradcheck_suite
 from gswin.model import PRESETS, GswinModel, ModelConfig
 from gswin.sgu import (init_sgu_params, materialize_relative_bias, multi_head_window_sgu,
-                       sgu, zero_padding_shift_oracle)
+                       toeplitz_index_map, zero_padding_shift_oracle)
 from gswin.tensor import Tensor, backward
 from gswin.train import SyntheticTask, TrainConfig, cross_entropy, train
 from gswin.windows import WindowGrid, window_partition, window_reverse
@@ -221,13 +221,15 @@ def test_criterion_6_structural_invariants():
         if not np.any(delta[:, rows, cols]):
             problems.append(f"offset {offset}: perturbation had no effect in-group")
 
-    # single head reduces to the plain single-window gate
+    # single head reduces to the plain single-window gate z1 * (W_eff z2 + b)
     p1 = _random_sgu(rng, (7, 7), 1, 3, prefix="c6.k1")
     g1 = WindowGrid((7, 7), (7, 7), offset=(0, 0))
     xb = rng.standard_normal((2, 7, 7, 6))
     multi = multi_head_window_sgu(Tensor(xb), p1, g1).data
+    w1 = (p1.w_win.data + p1.rel_table.data[toeplitz_index_map((7, 7))])[:, :, 0]
     for b in range(2):
-        direct = sgu(Tensor(xb[b].reshape(49, 6)), p1).data.reshape(7, 7, 3)
+        z = xb[b].reshape(49, 6)
+        direct = (z[:, :3] * (w1 @ z[:, 3:] + p1.b_win.data[:, 0:1])).reshape(7, 7, 3)
         if not np.allclose(multi[b], direct, rtol=0.0, atol=1e-13):
             problems.append(f"K=1 path disagrees with single-window gate (batch {b})")
     _verdict(6, problems, "identity init, partition round-trip, offset-only bias "

@@ -15,7 +15,7 @@ from gswin.analysis import (
     weight_tile_grid,
 )
 from gswin.model import GswinModel, ModelConfig, PRESETS
-from gswin.windows import window_partition
+from gswin.windows import WindowGrid, window_partition
 
 PARAM_TARGETS = {"gswin-vt": 16e6, "gswin-t": 22e6, "gswin-s": 40e6}
 FLOP_TARGETS = [
@@ -118,6 +118,24 @@ def test_strategies_agree_without_shifted_layers():
     free = count_flops(cfg, 32, "padding-free").flops
     padded = count_flops(cfg, 32, "zero-padding").flops
     assert free == padded
+
+
+def test_model_and_flop_count_share_one_tiling_rule(monkeypatch):
+    # With every block's grid unshifted, the built model and both FLOP counts
+    # must follow; a tiling rule of their own in either would not.
+    cfg = small_cfg(window=(7, 7), image_size=224)
+
+    def padding_tax():
+        return (count_flops(cfg, 224, "zero-padding").flops
+                - count_flops(cfg, 224, "padding-free").flops)
+
+    assert padding_tax() > 0
+    unshifted = {s: [WindowGrid(g.image, g.window) for g in cfg.block_grids(s)] for s in range(4)}
+    monkeypatch.setattr(ModelConfig, "block_grids", lambda self, s: unshifted[s])
+    model = GswinModel(cfg)
+    assert all(blk.grid is grid for s, blocks in enumerate(model.stages)
+               for blk, grid in zip(blocks, unshifted[s], strict=True))
+    assert padding_tax() == 0
 
 
 @pytest.mark.parametrize("depths", [(1, 1, 1, 1), (2, 2, 2, 2)])

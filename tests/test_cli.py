@@ -288,6 +288,15 @@ def test_train_bad_rate_is_validation_error(tmp_path, capsys, key, value):
     assert "Traceback" not in err
 
 
+def test_train_negative_warmup_is_validation_error(tmp_path, capsys):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TRAIN_CFG.replace("warmup_steps = 2", "warmup_steps = -5"))
+    assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "warmup_steps" in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_train_out_of_memory_is_validation_error(tmp_path, capsys):
     # the task's arrays cannot be allocated: numpy raises before touching memory
     cfg = tmp_path / "train.cfg"

@@ -62,6 +62,11 @@ def test_config_window_clamped_to_map():
     assert TINY.stage_window(0) == (4, 4)
     assert TINY.stage_window(2) == (2, 2)
     assert TINY.stage_window(3) == (1, 1)
+    grids = [TINY.block_grids(s) for s in range(4)]
+    assert [[g.window for g in stage] for stage in grids] == [[(4, 4)] * 2, [(4, 4)] * 2,
+                                                              [(2, 2)] * 2, [(1, 1)] * 2]
+    assert [[g.offset for g in stage] for stage in grids] == [[(0, 0), (2, 2)], [(0, 0), (2, 2)],
+                                                              [(0, 0), (1, 1)], [(0, 0)] * 2]
 
 
 def test_config_validation():
@@ -242,8 +247,8 @@ def test_model_rejects_bad_configs_and_inputs(make, match):
 
 def test_single_block_gradcheck():
     rng = np.random.default_rng(10)
-    blk = GswinBlock(dim=4, resolution=(4, 4), window=(2, 2), heads=2, expansion=2,
-                     shifted=True, p_drop=0.0, rel_bias=True, prefix="b",
+    blk = GswinBlock(dim=4, grid=WindowGrid((4, 4), (2, 2), offset=(1, 1)), heads=2,
+                     expansion=2, p_drop=0.0, rel_bias=True, prefix="b",
                      rng=np.random.default_rng(0))
     x = Tensor(rng.standard_normal((1, 4, 4, 4)), requires_grad=True)
     r = Tensor(rng.standard_normal((1, 4, 4, 4)))
@@ -264,8 +269,9 @@ def test_training_block_holds_its_activation_budget(shifted, budget):
     # The projections keep no input: each rebuilds it from its producer's
     # arrays. A second array kept by any op breaks the budget.
     rng = np.random.default_rng(0)
-    blk = GswinBlock(dim=16, resolution=(16, 16), window=(4, 4), heads=2, expansion=6,
-                     shifted=shifted, p_drop=0.0, rel_bias=True, prefix="b", rng=rng)
+    grid = WindowGrid((16, 16), (4, 4), offset=(2, 2) if shifted else (0, 0))
+    blk = GswinBlock(dim=16, grid=grid, heads=2, expansion=6, p_drop=0.0,
+                     rel_bias=True, prefix="b", rng=rng)
     x = Tensor(rng.standard_normal((2, 16, 16, 16)), requires_grad=True)
     tracemalloc.start()
     try:

@@ -12,7 +12,6 @@ from gswin.sgu import (
     init_sgu_params,
     materialize_relative_bias,
     multi_head_window_sgu,
-    sgu,
     toeplitz_index_map,
     zero_padding_shift_oracle,
 )
@@ -94,23 +93,25 @@ def test_materialize_gradients_scatter_to_table():
     np.testing.assert_allclose(p.rel_table.grad, expect, rtol=0, atol=1e-12)
 
 
-# -- plain SGU -------------------------------------------------------------
+# -- one window -------------------------------------------------------------
+
+ONE_WINDOW = WindowGrid((2, 2), (2, 2))
 
 
 def test_sgu_identity_at_init():
     rng = np.random.default_rng(0)
     p = init_sgu_params((2, 2), heads=1, gate_channels=3)
-    z = Tensor(rng.standard_normal((4, 6)))
-    out = sgu(z, p)
-    assert (out.data == z.data[:, :3]).all()
+    z = rng.standard_normal((1, 2, 2, 6))
+    out = multi_head_window_sgu(Tensor(z), p, ONE_WINDOW)
+    assert (out.data == z[..., :3]).all()
 
 
 def test_sgu_zero_value_half_annihilates():
     rng = np.random.default_rng(1)
     p = random_params(rng, (2, 2), heads=1, gate_channels=2)
-    z = np.zeros((4, 4))
-    z[:, 2:] = rng.standard_normal((4, 2))
-    assert (sgu(Tensor(z), p).data == 0).all()
+    z = np.zeros((1, 2, 2, 4))
+    z[..., 2:] = rng.standard_normal((1, 2, 2, 2))
+    assert (multi_head_window_sgu(Tensor(z), p, ONE_WINDOW).data == 0).all()
 
 
 def test_sgu_brute_force_loop_oracle():
@@ -119,7 +120,8 @@ def test_sgu_brute_force_loop_oracle():
     h, w, K, C = 2, 2, 2, 4
     p = random_params(rng, (h, w), heads=K, gate_channels=C)
     z = rng.standard_normal((h * w, 2 * C))
-    out = sgu(Tensor(z), p).data
+    out = multi_head_window_sgu(Tensor(z.reshape(1, h, w, 2 * C)), p, ONE_WINDOW)
+    out = out.data.reshape(h * w, C)
 
     table = p.rel_table.data
     ch = C // K
@@ -139,12 +141,10 @@ def test_sgu_brute_force_loop_oracle():
 
 def test_sgu_shape_errors():
     p = init_sgu_params((2, 2), heads=1, gate_channels=2)
-    with pytest.raises(ValueError):
-        sgu(Tensor(np.zeros((4, 5))), p)   # odd channels
-    with pytest.raises(ValueError):
-        sgu(Tensor(np.zeros((3, 4))), p)   # wrong token count
-    with pytest.raises(ValueError):
-        sgu(Tensor(np.zeros((4, 6))), p)   # gate half mismatch
+    with pytest.raises(ValueError, match="odd"):
+        multi_head_window_sgu(Tensor(np.zeros((1, 2, 2, 5))), p, ONE_WINDOW)
+    with pytest.raises(ValueError, match="params expect 2"):
+        multi_head_window_sgu(Tensor(np.zeros((1, 2, 2, 6))), p, ONE_WINDOW)
 
 
 def test_params_validation():
@@ -201,10 +201,12 @@ def test_window_sgu_k1_reduces_to_plain_sgu():
     x = rng.standard_normal((1, 8, 8, 6))
     grid = WindowGrid((8, 8), (4, 4))
     out = multi_head_window_sgu(Tensor(x), p, grid).data
+    w_eff = p.w_win.data + p.rel_table.data[toeplitz_index_map((4, 4))]
     for wy in range(0, 8, 4):
         for wx in range(0, 8, 4):
             tile = x[0, wy:wy + 4, wx:wx + 4, :].reshape(16, 6)
-            ref = sgu(Tensor(tile), p).data.reshape(4, 4, 3)
+            z1, z2 = tile[:, :3], tile[:, 3:]
+            ref = (z1 * (w_eff[:, :, 0] @ z2 + p.b_win.data[:, 0:1])).reshape(4, 4, 3)
             assert np.max(np.abs(out[0, wy:wy + 4, wx:wx + 4] - ref)) < 1e-14
 
 

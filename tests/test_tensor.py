@@ -104,6 +104,9 @@ def test_sum_mean_axes_grad():
     check_gradients(lambda: a.sum(axis=(0, 2)).sum(), [a])
     check_gradients(lambda: (a.mean(axis=1, keepdims=True) * a).sum(), [a])
     check_gradients(lambda: a.mean(), [a])
+    for axis in (1, (0, 2), None):  # the scale is 1/count, rounded once
+        total = a.data.sum(axis=axis)
+        assert np.array_equal(a.mean(axis=axis).data, total * (1.0 / (a.size // total.size)))
 
 
 def test_gelu_grad_and_values():

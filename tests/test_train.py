@@ -68,6 +68,8 @@ def test_lr_out_of_range():
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(warmup_steps=11, total_steps=10)
+    with pytest.raises(ValueError, match="warmup_steps must be >= 0, got -5"):
+        TrainConfig(warmup_steps=-5, total_steps=10)  # would start the cosine part-way
     with pytest.raises(ValueError):
         TrainConfig(lr=-1.0)
     with pytest.raises(ValueError):
@@ -345,7 +347,10 @@ def test_train_aborts_on_divergence():
     model.param("head.fc.w").data[:] = 1e308
     cfg = TrainConfig(lr=1e-3, warmup_steps=0, total_steps=2, batch_size=4,
                       eval_every=2, seed=0)
-    with pytest.raises(RuntimeError, match="diverged"):
+    # the head's 1e308 weights overflow the logits to +-inf, and their sums give NaN
+    with pytest.raises(RuntimeError, match="diverged"), \
+            pytest.warns(RuntimeWarning, match="overflow"), \
+            pytest.warns(RuntimeWarning, match="invalid value"):
         train(model, micro_task(), cfg)
 
 
