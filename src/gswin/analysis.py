@@ -16,6 +16,8 @@ the padded grid in full, which is the arithmetic the model executes.
 from __future__ import annotations
 
 import csv
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -143,6 +145,24 @@ def format_count(n: int) -> str:
 # -- weight-map export ---------------------------------------------------------
 
 
+@contextmanager
+def atomic_open(path: str | Path, mode: str = "wb", **kwargs):
+    """Write to a temp file beside ``path`` that replaces ``path`` on success.
+
+    If the block raises, the temp file is removed and ``path`` keeps its old
+    contents. The replace is atomic against a crash of the process; nothing
+    is fsynced, so it is not durable against a crash of the machine.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def effective_mixing_weight(model: GswinModel, stage: int, layer: int, head: int) -> np.ndarray:
     """Materialized (T, T) effective weight (learned + relative-offset bias)."""
     if not 0 <= stage < len(model.stages):
@@ -150,10 +170,10 @@ def effective_mixing_weight(model: GswinModel, stage: int, layer: int, head: int
     blocks = model.stages[stage]
     if not 0 <= layer < len(blocks):
         raise ValueError(f"layer {layer} out of range [0, {len(blocks)}) in stage {stage}")
-    sgu = blocks[layer].sgu
-    if not 0 <= head < sgu.heads:
-        raise ValueError(f"head {head} out of range [0, {sgu.heads})")
-    return effective_weight(sgu)[:, :, head].copy()
+    blk = blocks[layer]
+    if not 0 <= head < blk.sgu.heads:
+        raise ValueError(f"head {head} out of range [0, {blk.sgu.heads})")
+    return effective_weight(blk.sgu, blk.grid.window)[:, :, head].copy()
 
 
 def weight_tile_grid(w_eff: np.ndarray, window: tuple[int, int]) -> np.ndarray:
@@ -174,14 +194,14 @@ def export_weight_maps(model: GswinModel, stage: int, layer: int, head: int,
     the P5 graymap shows the tile grid with min..max scaled to 0..255.
     """
     w_eff = effective_mixing_weight(model, stage, layer, head)  # validates indices
-    window = model.stages[stage][layer].sgu.window
+    window = model.stages[stage][layer].grid.window
 
     prefix = Path(out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     csv_path = prefix.with_suffix(".csv")
     pgm_path = prefix.with_suffix(".pgm")
 
-    with open(csv_path, "w", newline="") as f:
+    with atomic_open(csv_path, "w", newline="") as f:
         writer = csv.writer(f)
         for row in w_eff:
             writer.writerow([repr(float(v)) for v in row])
@@ -190,7 +210,7 @@ def export_weight_maps(model: GswinModel, stage: int, layer: int, head: int,
     lo, hi = grid.min(), grid.max()
     scaled = np.zeros_like(grid) if hi == lo else (grid - lo) / (hi - lo)
     pixels = np.round(scaled * 255).astype(np.uint8)
-    with open(pgm_path, "wb") as f:
+    with atomic_open(pgm_path, "wb") as f:
         f.write(f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode())
         f.write(pixels.tobytes())
     return csv_path, pgm_path

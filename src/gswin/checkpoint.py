@@ -18,38 +18,18 @@ Version-1 files carried no config and are rejected.
 from __future__ import annotations
 
 import math
-import os
 import struct
 import typing
-from contextlib import contextmanager
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import count_params
+from .analysis import atomic_open, count_params
 from .model import GswinModel, ModelConfig, PRESETS
 
 MAGIC = b"GSWN"
 VERSION = 2
-
-
-@contextmanager
-def atomic_open(path: str | Path, mode: str = "wb", **kwargs):
-    """Write to a temp file beside ``path`` that replaces ``path`` on success.
-
-    If the block raises, the temp file is removed and ``path`` keeps its old
-    contents. The replace is atomic against a crash of the process; nothing
-    is fsynced, so it is not durable against a crash of the machine.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, mode, **kwargs) as f:
-            yield f
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def save_checkpoint(path: str | Path, model: GswinModel) -> None:
@@ -78,8 +58,9 @@ def read_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
     """Read a checkpoint back as its model config and name -> float32 array.
 
     A file that is not a checkpoint, is cut short anywhere, holds a record
-    that does not decode, or holds a config that does not parse or does not
-    match the parameter count raises ``ValueError`` naming the path.
+    that does not decode or a name twice, or holds a config that does not
+    parse or does not match the parameter count raises ``ValueError`` naming
+    the path.
     """
     blob = Path(path).read_bytes()
     try:
@@ -115,6 +96,8 @@ def _decode_checkpoint(blob: bytes) -> tuple[ModelConfig, dict[str, np.ndarray]]
         (ndim,) = struct.unpack("<B", read(1, f"{name} rank"))
         shape = struct.unpack(f"<{ndim}I", read(4 * ndim, f"{name} shape"))
         n = math.prod(shape)  # Python ints: a hostile shape cannot wrap around
+        if name in out:
+            raise ValueError(f"parameter {name} is stored twice")
         out[name] = np.frombuffer(read(4 * n, f"{name} values"), dtype="<f4").reshape(shape).copy()
     if off != len(blob):
         raise ValueError(f"{len(blob) - off} trailing bytes")

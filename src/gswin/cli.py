@@ -180,7 +180,7 @@ def _cmd_gradcheck(args) -> int:
 def _equiv_case(rng: np.random.Generator, image: tuple[int, int], window: tuple[int, int],
                 heads: int, shifted: bool) -> float:
     gate = heads * int(rng.integers(1, 4))
-    params = init_sgu_params(window, heads, gate, rel_bias=True, prefix="equiv")
+    params = init_sgu_params(window, heads, rel_bias=True, prefix="equiv")
     for p in (params.w_win, params.b_win, params.rel_table):
         p.data[...] = rng.standard_normal(p.shape)
     grid = WindowGrid(image, window, offset=shift_offset(window, shifted))

@@ -94,7 +94,7 @@ def op_gradcheck_suite(seed: int = 0, tol: float = 1e-5) -> list[tuple[str, floa
     beta = leaf(6)
     ln_x = leaf(2, 5, 6)
     labels = rng.integers(0, 4, size=3)
-    gate = init_sgu_params((2, 2), heads=2, gate_channels=4, prefix="gate")
+    gate = init_sgu_params((2, 2), heads=2, prefix="gate")
     for p in (gate.w_win, gate.b_win, gate.rel_table):
         p.data = rng.standard_normal(p.shape)
     gate_x = leaf(1, 3, 3, 8)

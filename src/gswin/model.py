@@ -139,29 +139,21 @@ class GswinBlock:
 
     def __init__(self, dim: int, grid: WindowGrid, heads: int, expansion: int,
                  p_drop: float, rel_bias: bool, prefix: str, rng: np.random.Generator):
-        self.dim = dim
         self.p_drop = p_drop
         hidden = expansion * dim
-        self.gate_channels = hidden // 2
         self.grid = grid
 
         self.norm_g = Parameter(np.ones(dim), f"{prefix}.norm.gamma")
         self.norm_b = Parameter(np.zeros(dim), f"{prefix}.norm.beta")
         self.w_in = Parameter(_init_weight(rng, (dim, hidden)), f"{prefix}.proj_in.w")
         self.b_in = Parameter(np.zeros(hidden), f"{prefix}.proj_in.b")
-        self.sgu = init_sgu_params(grid.window, heads, self.gate_channels,
-                                   rel_bias=rel_bias, prefix=f"{prefix}.sgu")
-        self.w_out = Parameter(_init_weight(rng, (self.gate_channels, dim)),
-                               f"{prefix}.proj_out.w")
+        self.sgu = init_sgu_params(grid.window, heads, rel_bias=rel_bias, prefix=f"{prefix}.sgu")
+        self.w_out = Parameter(_init_weight(rng, (hidden // 2, dim)), f"{prefix}.proj_out.w")
         self.b_out = Parameter(np.zeros(dim), f"{prefix}.proj_out.b")
 
     def parameters(self) -> list[Parameter]:
-        ps = [self.norm_g, self.norm_b, self.w_in, self.b_in,
-              self.sgu.w_win, self.sgu.b_win]
-        if self.sgu.rel_table is not None:
-            ps.append(self.sgu.rel_table)
-        ps += [self.w_out, self.b_out]
-        return ps
+        sgu = [p for p in (self.sgu.w_win, self.sgu.b_win, self.sgu.rel_table) if p is not None]
+        return [self.norm_g, self.norm_b, self.w_in, self.b_in, *sgu, self.w_out, self.b_out]
 
     def forward(self, x: Tensor, training: bool, rng) -> Tensor:
         y = layer_norm(x, self.norm_g, self.norm_b)
@@ -176,7 +168,6 @@ class _PatchMerge:
     """2x2 neighborhood concat (4d) -> norm -> linear to 2d."""
 
     def __init__(self, dim: int, prefix: str, rng):
-        self.dim = dim
         self.norm_g = Parameter(np.ones(4 * dim), f"{prefix}.norm.gamma")
         self.norm_b = Parameter(np.zeros(4 * dim), f"{prefix}.norm.beta")
         self.w = Parameter(_init_weight(rng, (4 * dim, 2 * dim)), f"{prefix}.reduce.w")

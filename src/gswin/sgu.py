@@ -66,58 +66,37 @@ def materialize_relative_bias(rel_table: np.ndarray, window: tuple[int, int]) ->
 
 @dataclass
 class SguParams:
-    """Learned state of one windowed gating unit.
+    """Learned state of one windowed gating unit with K heads over h x w windows.
 
     w_win: (h*w, h*w, K) spatial mixing weight per head.
     b_win: (h*w, K) spatial bias per head.
     rel_table: optional ((2h-1)*(2w-1), K) relative-offset bias table.
-    channels_per_head: gate-half channels handled by each head.
+    The window comes from the layer's grid, and K from the weights' last axis.
     """
 
     w_win: Tensor
     b_win: Tensor
-    window: tuple[int, int]
-    heads: int
-    channels_per_head: int
     rel_table: Tensor | None = None
 
-    def __post_init__(self):
-        h, w = self.window
-        T = h * w
-        if self.w_win.shape != (T, T, self.heads):
-            raise ValueError(f"w_win shape {self.w_win.shape}, expected {(T, T, self.heads)}")
-        if self.b_win.shape != (T, self.heads):
-            raise ValueError(f"b_win shape {self.b_win.shape}, expected {(T, self.heads)}")
-        if self.rel_table is not None:
-            L = _table_rows(self.window)
-            if self.rel_table.shape != (L, self.heads):
-                raise ValueError(f"rel_table shape {self.rel_table.shape}, expected {(L, self.heads)}")
-
     @property
-    def gate_channels(self) -> int:
-        return self.heads * self.channels_per_head
+    def heads(self) -> int:
+        return self.w_win.shape[-1]
 
 
-def init_sgu_params(window: tuple[int, int], heads: int, gate_channels: int,
-                    rel_bias: bool = True, prefix: str = "sgu") -> SguParams:
+def init_sgu_params(window: tuple[int, int], heads: int, rel_bias: bool = True,
+                    prefix: str = "sgu") -> SguParams:
     """Identity-initialized gating parameters: zero mixing, unit bias.
 
     At this state the gate multiplies by exactly 1 everywhere, so the unit
     passes the value half through unchanged.
     """
-    h, w = window
     if heads < 1:
         raise ValueError("heads must be >= 1")
-    if gate_channels % heads:
-        raise ValueError(f"heads {heads} must divide gate channels {gate_channels}")
-    T = h * w
-    w_win = Parameter(np.zeros((T, T, heads)), f"{prefix}.w_win")
-    b_win = Parameter(np.ones((T, heads)), f"{prefix}.b_win")
-    rel = None
-    if rel_bias:
-        rel = Parameter(np.zeros((_table_rows(window), heads)), f"{prefix}.rel_table")
-    return SguParams(w_win=w_win, b_win=b_win, window=(h, w), heads=heads,
-                     channels_per_head=gate_channels // heads, rel_table=rel)
+    T, L = window[0] * window[1], _table_rows(window)
+    return SguParams(w_win=Parameter(np.zeros((T, T, heads)), f"{prefix}.w_win"),
+                     b_win=Parameter(np.ones((T, heads)), f"{prefix}.b_win"),
+                     rel_table=Parameter(np.zeros((L, heads)), f"{prefix}.rel_table")
+                     if rel_bias else None)
 
 
 def _head_major(a: np.ndarray, grid: WindowGrid, heads: int) -> np.ndarray:
@@ -136,11 +115,17 @@ def _map_major(a: np.ndarray, grid: WindowGrid, batch: int) -> np.ndarray:
             .transpose(3, 4, 1, 5, 2, 0, 6).reshape(batch, nh, h, nw, w, -1))
 
 
-def effective_weight(params: SguParams) -> np.ndarray:
-    """Learned mixing weight plus the materialized relative-offset bias."""
+def effective_weight(params: SguParams, window: tuple[int, int]) -> np.ndarray:
+    """Learned mixing weight plus the materialized relative-offset bias; raises
+    ``ValueError`` unless every array of ``params`` fits ``window`` and K heads."""
+    T, L, K = window[0] * window[1], _table_rows(window), params.heads
+    for name, shape in (("w_win", (T, T, K)), ("b_win", (T, K)), ("rel_table", (L, K))):
+        a = getattr(params, name)
+        if a is not None and a.shape != shape:
+            raise ValueError(f"{name} shape {a.shape}, expected {shape} for window {window}")
     if params.rel_table is None:
         return params.w_win.data
-    return params.w_win.data + materialize_relative_bias(params.rel_table.data, params.window)
+    return params.w_win.data + materialize_relative_bias(params.rel_table.data, window)
 
 
 def multi_head_window_sgu(x: Tensor, params: SguParams, grid: WindowGrid) -> Tensor:
@@ -153,17 +138,14 @@ def multi_head_window_sgu(x: Tensor, params: SguParams, grid: WindowGrid) -> Ten
     C2 = x.shape[-1]
     if C2 % 2:
         raise ValueError(f"channel extent {C2} is odd; need value/gate halves")
-    C = C2 // 2
-    if C != params.gate_channels:
-        raise ValueError(f"gate half has {C} channels, params expect {params.gate_channels}")
-    if grid.window != params.window:
-        raise ValueError(f"grid window {grid.window} differs from params window {params.window}")
+    C, K = C2 // 2, params.heads
+    if C % K:
+        raise ValueError(f"heads {K} do not divide the gate half's {C} channels")
     B, H, W, _ = x.shape
-    K = params.heads
     w_win, b_win, table = params.w_win, params.b_win, params.rel_table
     parents = (x, w_win, b_win) if table is None else (x, w_win, b_win, table)
     record = Tensor._records(parents)
-    wt = effective_weight(params).transpose(2, 0, 1)
+    wt = effective_weight(params, grid.window).transpose(2, 0, 1)
     zh = _head_major(window_partition(x.data[..., C:], grid)[0], grid, K)
     # A non-recording wrap keeps the mixing GEMM visible to a tracer patching ``Tensor``.
     mixed = (Tensor(wt) @ Tensor(zh)).data + b_win.data.T.reshape(K, -1, 1)
@@ -215,13 +197,17 @@ def zero_padding_shift_oracle(x: Tensor, params: SguParams, grid: WindowGrid) ->
     if C2 % 2:
         raise ValueError(f"channel extent {C2} is odd; need value/gate halves")
     C = C2 // 2
-    if C % params.heads:
-        raise ValueError(f"heads {params.heads} do not divide gate channels {C}")
-    if grid.window != params.window:
-        raise ValueError(f"grid window {grid.window} differs from params window {params.window}")
+    K = params.w_win.shape[-1]
+    if C % K:
+        raise ValueError(f"heads {K} do not divide gate channels {C}")
     if (H, W) != grid.image:
         raise ValueError(f"grid built for {grid.image}, input map is {(H, W)}")
-    h, w = params.window
+    h, w = grid.window
+    T, L = h * w, (2 * h - 1) * (2 * w - 1)
+    for name, shape in (("w_win", (T, T, K)), ("b_win", (T, K)), ("rel_table", (L, K))):
+        a = getattr(params, name)
+        if a is not None and a.shape != shape:
+            raise ValueError(f"{name} shape {a.shape} != {shape} for grid window {(h, w)}")
     oy, ox = grid.offset
     pad_top = (h - oy) % h
     pad_left = (w - ox) % w
@@ -240,7 +226,6 @@ def zero_padding_shift_oracle(x: Tensor, params: SguParams, grid: WindowGrid) ->
         w_full = w_full + table[idx]
     b_full = np.asarray(params.b_win.data, dtype=np.float64)
 
-    K = params.heads
     ch = C // K
     Hp, Wp = z2p.shape[1], z2p.shape[2]
     mixed = np.empty_like(z2p)

@@ -14,7 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .checkpoint import atomic_open, save_checkpoint
+from .analysis import atomic_open
+from .checkpoint import save_checkpoint
 from .model import GswinModel
 from .tensor import Parameter, Tensor, backward, no_grad
 

@@ -46,8 +46,8 @@ def _verdict(n: int, problems: list[str], detail: str) -> None:
     assert not problems, f"criterion {n}: {text}"
 
 
-def _random_sgu(rng, window, heads, gate, rel_bias=True, prefix="acc"):
-    params = init_sgu_params(window, heads, gate, rel_bias=rel_bias, prefix=prefix)
+def _random_sgu(rng, window, heads, rel_bias=True, prefix="acc"):
+    params = init_sgu_params(window, heads, rel_bias=rel_bias, prefix=prefix)
     fields = (params.w_win, params.b_win) + ((params.rel_table,) if rel_bias else ())
     for p in fields:
         p.data[...] = rng.standard_normal(p.shape)
@@ -117,7 +117,7 @@ def test_criterion_4_shift_equivalence():
     for i, image in enumerate(shapes):
         heads = int(rng.choice([1, 2, 7]))
         gate = heads * int(rng.integers(1, 4))
-        params = _random_sgu(rng, window, heads, gate, prefix=f"c4.{i}")
+        params = _random_sgu(rng, window, heads, prefix=f"c4.{i}")
         grid = WindowGrid(image, window, offset=(3, 3))
         x = Tensor(rng.standard_normal((2, image[0], image[1], 2 * gate)))
         fast = multi_head_window_sgu(x, params, grid)
@@ -170,7 +170,7 @@ def test_criterion_6_structural_invariants():
     rng = np.random.default_rng(2)
 
     # identity at init: fresh gate passes the value half through bit-exactly
-    params = init_sgu_params((7, 7), 3, 6, prefix="c6.id")
+    params = init_sgu_params((7, 7), 3, prefix="c6.id")
     grid = WindowGrid((14, 14), (7, 7), offset=(3, 3))
     x = Tensor(rng.standard_normal((2, 14, 14, 12)))
     out = multi_head_window_sgu(x, params, grid)
@@ -206,7 +206,7 @@ def test_criterion_6_structural_invariants():
     for offset, token, rows, cols in [((0, 0), (1, 2), slice(0, 7), slice(0, 7)),
                                       ((3, 3), (0, 0), slice(0, 3), slice(0, 3))]:
         heads, gate = 2, 4
-        p6 = _random_sgu(rng, (7, 7), heads, gate, prefix=f"c6.loc{offset[0]}")
+        p6 = _random_sgu(rng, (7, 7), heads, prefix=f"c6.loc{offset[0]}")
         g = WindowGrid((14, 14), (7, 7), offset=offset)
         base = rng.standard_normal((1, 14, 14, 2 * gate))
         bumped = base.copy()
@@ -222,7 +222,7 @@ def test_criterion_6_structural_invariants():
             problems.append(f"offset {offset}: perturbation had no effect in-group")
 
     # single head reduces to the plain single-window gate z1 * (W_eff z2 + b)
-    p1 = _random_sgu(rng, (7, 7), 1, 3, prefix="c6.k1")
+    p1 = _random_sgu(rng, (7, 7), 1, prefix="c6.k1")
     g1 = WindowGrid((7, 7), (7, 7), offset=(0, 0))
     xb = rng.standard_normal((2, 7, 7, 6))
     multi = multi_head_window_sgu(Tensor(xb), p1, g1).data
@@ -326,13 +326,13 @@ def test_criterion_8_ablations_via_config(tmp_path):
 
             # identity gate at init, on the model's own first block
             blk = model.stages[0][0]
-            xg = Tensor(rng.standard_normal((1, 8, 8, 2 * blk.gate_channels)))
+            xg = Tensor(rng.standard_normal((1, 8, 8, 2 * blk.w_out.shape[0])))
             out = multi_head_window_sgu(xg, blk.sgu, blk.grid)
-            if not np.array_equal(out.data, xg.data[..., :blk.gate_channels]):
+            if not np.array_equal(out.data, xg.data[..., :blk.w_out.shape[0]]):
                 problems.append(f"{tag}: init gate not a passthrough")
 
             # oracle agreement for this head count / bias setting
-            p8 = _random_sgu(rng, (4, 4), heads, 3 * heads,
+            p8 = _random_sgu(rng, (4, 4), heads,
                              rel_bias=(rel == "true"), prefix=f"c8.{heads}.{rel}")
             g8 = WindowGrid((10, 13), (4, 4), offset=(2, 2))
             x8 = Tensor(rng.standard_normal((1, 10, 13, 6 * heads)))

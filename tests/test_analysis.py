@@ -1,7 +1,10 @@
 """Cost accounting: published-total reproduction, enumeration cross-checks, export."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gswin.analysis as ganalysis
 from gswin.analysis import (
     STRATEGIES,
     CostReport,
@@ -150,7 +153,7 @@ def test_zero_padding_counts_the_windows_the_model_builds(depths):
         real = window_partition(ones, grid)[0].sum(axis=(2, 4, 5)).ravel()
         T = grid.window[0] * grid.window[1]
         mixing = real.size * T * T - (real ** 2).sum()
-        extra += blk.gate_channels * (mixing + 2 * (real.size * T - real.sum()))
+        extra += blk.w_out.shape[0] * (mixing + 2 * (real.size * T - real.sum()))
     free = count_flops(cfg, 64, "padding-free").flops
     padded = count_flops(cfg, 64, "zero-padding").flops
     assert extra > 0
@@ -209,11 +212,11 @@ def test_identity_init_exports_zero_maps(tmp_path):
 def test_rel_only_model_tiles_are_shifted_copies(tmp_path):
     rng = np.random.default_rng(1)
     model = GswinModel(small_cfg(), seed=0)
-    sgu = model.stages[0][0].sgu
-    sgu.rel_table.data = rng.standard_normal(sgu.rel_table.shape)
+    blk = model.stages[0][0]
+    blk.sgu.rel_table.data = rng.standard_normal(blk.sgu.rel_table.shape)
     csv_path, _ = export_weight_maps(model, 0, 0, 1, tmp_path / "rel")
     w = read_weight_csv(csv_path)
-    h, ww = sgu.window
+    h, ww = blk.grid.window
     tiles = w.reshape(h, ww, h, ww)
     # tile of output token (y, x) at input (a, b) depends only on (y - a, x - b)
     for dy in range(-1, 2):
@@ -237,6 +240,45 @@ def test_export_round_trips_trained_values(tmp_path):
     csv_path, _ = export_weight_maps(model, 1, 0, 2, tmp_path / "t")
     back = read_weight_csv(csv_path)
     assert (back == effective_mixing_weight(model, 1, 0, 2)).all()
+
+
+class _DiskFull:
+    """A file that takes ``room`` more bytes or characters, then raises part-way."""
+
+    def __init__(self, f, room):
+        self.f, self.room = f, room
+
+    def write(self, data):
+        if len(data) > self.room:
+            self.f.write(data[:self.room])
+            raise OSError("disk full")
+        self.room -= len(data)
+        return self.f.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".pgm"])
+def test_weight_map_write_that_fails_keeps_the_previous_file(tmp_path, monkeypatch, suffix):
+    model = GswinModel(small_cfg(), seed=0)
+    csv_path, pgm_path = export_weight_maps(model, 0, 0, 1, tmp_path / "m")
+    old = csv_path if suffix == ".csv" else pgm_path
+    old_bytes = old.read_bytes()
+    model.stages[0][0].sgu.w_win.data += 1.0  # the new maps differ from the old ones
+
+    def failing_open(path, *args, **kwargs):
+        f = open(path, *args, **kwargs)
+        return _DiskFull(f, 20) if suffix in Path(path).name else f
+
+    monkeypatch.setattr(ganalysis, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        export_weight_maps(model, 0, 0, 1, tmp_path / "m")
+    assert old.read_bytes() == old_bytes
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["m.csv", "m.pgm"]
 
 
 def test_export_rejects_bad_indices(tmp_path):

@@ -1,4 +1,6 @@
 """Backbone assembly: shapes, residual structure, determinism, serialization."""
+import re
+import struct
 import tracemalloc
 import weakref
 
@@ -296,7 +298,7 @@ def test_projection_rebuilds_its_input_from_the_producer(case):
         y = layer_norm(x, Parameter(1.0 + 0.1 * rng.standard_normal(8), "g"),
                        Parameter(0.1 * rng.standard_normal(8), "b"))
     else:
-        p = init_sgu_params((2, 3), heads=2, gate_channels=4)
+        p = init_sgu_params((2, 3), heads=2)
         for t in (p.w_win, p.b_win, p.rel_table):
             t.data = rng.standard_normal(t.shape)
         y = multi_head_window_sgu(x, p, WindowGrid((6, 8), (2, 3), offset=(1, 1)))
@@ -365,6 +367,24 @@ def test_checkpoint_apply_rejects_mismatch(tmp_path):
     arrays.pop("head.fc.b")
     with pytest.raises(ValueError):
         apply_checkpoint(tiny_model(), arrays)
+
+
+def test_checkpoint_that_stores_a_name_twice_is_rejected(tmp_path):
+    # a second head.fc.b record, counted in the header: kept in a dict, it
+    # replaced the first and the stored value count still matched the config
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, tiny_model())
+    blob = path.read_bytes()
+    (config_len,) = struct.unpack("<I", blob[5:9])
+    at = 9 + config_len
+    (count,) = struct.unpack("<I", blob[at:at + 4])
+    name = b"head.fc.b"
+    record = (struct.pack("<H", len(name)) + name + struct.pack("<BI", 1, 5)
+              + np.ones(5, dtype="<f4").tobytes())
+    path.write_bytes(blob[:at] + struct.pack("<I", count + 1) + blob[at + 4:] + record)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: parameter head.fc.b "
+                                         "is stored twice$"):
+        model_from_checkpoint(path)
 
 
 def _with_trailing_byte(path):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from gswin.gradcheck import check_gradients
 from gswin.sgu import (
-    SguParams,
     init_sgu_params,
     materialize_relative_bias,
     multi_head_window_sgu,
@@ -19,10 +18,10 @@ from gswin.tensor import Tensor, backward, no_grad
 from gswin.windows import WindowGrid, window_partition, window_reverse
 
 
-def random_params(rng, window, heads, gate_channels, rel=True):
+def random_params(rng, window, heads, rel=True):
     h, w = window
     T = h * w
-    p = init_sgu_params(window, heads, gate_channels, rel_bias=rel)
+    p = init_sgu_params(window, heads, rel_bias=rel)
     p.w_win.data = rng.standard_normal((T, T, heads))
     p.b_win.data = rng.standard_normal((T, heads))
     if rel:
@@ -82,7 +81,7 @@ def test_materialize_gradients_scatter_to_table():
     # a 2x2 window reads each table row up to four times; the gating node's
     # vjp must scatter-add every read back onto its row
     rng = np.random.default_rng(5)
-    p = random_params(rng, (2, 2), heads=2, gate_channels=4)
+    p = random_params(rng, (2, 2), heads=2)
     x = Tensor(rng.standard_normal((1, 4, 4, 8)))
     grid = WindowGrid((4, 4), (2, 2))
     r = Tensor(rng.standard_normal((1, 4, 4, 4)))
@@ -100,7 +99,7 @@ ONE_WINDOW = WindowGrid((2, 2), (2, 2))
 
 def test_sgu_identity_at_init():
     rng = np.random.default_rng(0)
-    p = init_sgu_params((2, 2), heads=1, gate_channels=3)
+    p = init_sgu_params((2, 2), heads=1)
     z = rng.standard_normal((1, 2, 2, 6))
     out = multi_head_window_sgu(Tensor(z), p, ONE_WINDOW)
     assert (out.data == z[..., :3]).all()
@@ -108,7 +107,7 @@ def test_sgu_identity_at_init():
 
 def test_sgu_zero_value_half_annihilates():
     rng = np.random.default_rng(1)
-    p = random_params(rng, (2, 2), heads=1, gate_channels=2)
+    p = random_params(rng, (2, 2), heads=1)
     z = np.zeros((1, 2, 2, 4))
     z[..., 2:] = rng.standard_normal((1, 2, 2, 2))
     assert (multi_head_window_sgu(Tensor(z), p, ONE_WINDOW).data == 0).all()
@@ -118,7 +117,7 @@ def test_sgu_brute_force_loop_oracle():
     # direct per-element evaluation: y[n,c] = z1[n,c] * (sum_m W[n,m,k] z2[m,c] + b[n,k])
     rng = np.random.default_rng(2)
     h, w, K, C = 2, 2, 2, 4
-    p = random_params(rng, (h, w), heads=K, gate_channels=C)
+    p = random_params(rng, (h, w), heads=K)
     z = rng.standard_normal((h * w, 2 * C))
     out = multi_head_window_sgu(Tensor(z.reshape(1, h, w, 2 * C)), p, ONE_WINDOW)
     out = out.data.reshape(h * w, C)
@@ -140,39 +139,55 @@ def test_sgu_brute_force_loop_oracle():
 
 
 def test_sgu_shape_errors():
-    p = init_sgu_params((2, 2), heads=1, gate_channels=2)
+    p = init_sgu_params((2, 2), heads=2)
     with pytest.raises(ValueError, match="odd"):
         multi_head_window_sgu(Tensor(np.zeros((1, 2, 2, 5))), p, ONE_WINDOW)
-    with pytest.raises(ValueError, match="params expect 2"):
+    with pytest.raises(ValueError, match="heads 2 do not divide the gate half's 3 channels"):
         multi_head_window_sgu(Tensor(np.zeros((1, 2, 2, 6))), p, ONE_WINDOW)
 
 
+def _misfit(name, shape):
+    """Gating arrays for a (2, 2) window with 2 heads, ``name`` replaced by zeros of ``shape``."""
+    p = init_sgu_params((2, 2), heads=2)
+    setattr(p, name, Tensor(np.zeros(shape)))
+    return p
+
+
+# Each array against the (2, 2) window and 2 heads that ``w_win`` sets; a
+# (1, K) bias or an (L, 1) table would broadcast if nothing checked it.
+MISFITS = [("w_win", (4, 3, 2)), ("w_win", (9, 9, 2)), ("b_win", (3, 2)), ("b_win", (1, 2)),
+           ("b_win", (4, 1)), ("rel_table", (8, 2)), ("rel_table", (9, 1))]
+
+
 def test_params_validation():
-    with pytest.raises(ValueError):
-        init_sgu_params((2, 2), heads=3, gate_channels=4)
-    with pytest.raises(ValueError):
-        SguParams(w_win=Tensor(np.zeros((4, 4, 2))), b_win=Tensor(np.zeros((3, 2))),
-                  window=(2, 2), heads=2, channels_per_head=1)
+    x, grid = Tensor(np.zeros((1, 4, 4, 8))), WindowGrid((4, 4), (2, 2))
+    for name, shape in MISFITS:
+        p = _misfit(name, shape)
+        with pytest.raises(ValueError, match=f"{name} shape"):
+            multi_head_window_sgu(x, p, grid)
+        with pytest.raises(ValueError, match=f"{name} shape"):
+            zero_padding_shift_oracle(x, p, grid)
 
 
 def _rejected_by_the_oracle(x_shape, grid):
-    zero_padding_shift_oracle(Tensor(np.zeros(x_shape)),
-                              init_sgu_params((2, 2), heads=2, gate_channels=4), grid)
+    zero_padding_shift_oracle(Tensor(np.zeros(x_shape)), init_sgu_params((2, 2), heads=2), grid)
+
+
+def _rejected_by_the_gating_node(name, shape):
+    multi_head_window_sgu(Tensor(np.zeros((1, 4, 4, 8))), _misfit(name, shape),
+                          WindowGrid((4, 4), (2, 2)))
 
 
 @pytest.mark.parametrize("make, match", [
-    (lambda: SguParams(w_win=Tensor(np.zeros((4, 3, 2))), b_win=Tensor(np.zeros((4, 2))),
-                       window=(2, 2), heads=2, channels_per_head=1), "w_win shape"),
-    (lambda: SguParams(w_win=Tensor(np.zeros((4, 4, 2))), b_win=Tensor(np.zeros((4, 2))),
-                       window=(2, 2), heads=2, channels_per_head=1,
-                       rel_table=Tensor(np.zeros((8, 2)))), "rel_table shape"),
-    (lambda: init_sgu_params((2, 2), heads=0, gate_channels=4), "heads must be >= 1"),
+    (lambda: _rejected_by_the_gating_node("w_win", (4, 3, 2)), "w_win shape"),
+    (lambda: _rejected_by_the_gating_node("rel_table", (8, 2)), "rel_table shape"),
+    (lambda: init_sgu_params((2, 2), heads=0), "heads must be >= 1"),
     (lambda: _rejected_by_the_oracle((1, 4, 4, 7), WindowGrid((4, 4), (2, 2))),
      "channel extent 7 is odd"),
     (lambda: _rejected_by_the_oracle((1, 4, 4, 6), WindowGrid((4, 4), (2, 2))),
      "do not divide gate channels 3"),
     (lambda: _rejected_by_the_oracle((1, 4, 4, 8), WindowGrid((4, 4), (1, 2))),
-     "differs from params window"),
+     r"w_win shape \(4, 4, 2\) != \(2, 2, 2\) for grid window \(1, 2\)"),
     (lambda: _rejected_by_the_oracle((1, 4, 6, 8), WindowGrid((4, 4), (2, 2))),
      r"grid built for \(4, 4\), input map is \(4, 6\)"),
 ])
@@ -188,7 +203,7 @@ def test_window_sgu_identity_at_init_any_heads():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((2, 8, 8, 12))
     for K in (1, 2, 3, 6):
-        p = init_sgu_params((4, 4), heads=K, gate_channels=6)
+        p = init_sgu_params((4, 4), heads=K)
         for offset in [(0, 0), (2, 2)]:
             grid = WindowGrid((8, 8), (4, 4), offset=offset)
             out = multi_head_window_sgu(Tensor(x), p, grid)
@@ -197,7 +212,7 @@ def test_window_sgu_identity_at_init_any_heads():
 
 def test_window_sgu_k1_reduces_to_plain_sgu():
     rng = np.random.default_rng(6)
-    p = random_params(rng, (4, 4), heads=1, gate_channels=3)
+    p = random_params(rng, (4, 4), heads=1)
     x = rng.standard_normal((1, 8, 8, 6))
     grid = WindowGrid((8, 8), (4, 4))
     out = multi_head_window_sgu(Tensor(x), p, grid).data
@@ -215,7 +230,7 @@ def test_window_sgu_head_consistency():
     rng = np.random.default_rng(7)
     K, ch = 3, 2
     C = K * ch
-    p = random_params(rng, (2, 2), heads=K, gate_channels=C)
+    p = random_params(rng, (2, 2), heads=K)
     base = rng.standard_normal((1, 4, 4, 2))  # one value, one gate channel
     x = np.concatenate([np.repeat(base[..., :1], C, axis=-1),
                         np.repeat(base[..., 1:], C, axis=-1)], axis=-1)
@@ -231,7 +246,7 @@ def test_window_sgu_locality():
     # a bump changes exactly the window holding it; window edges sit at
     # offset + 7k, clipped to the map
     rng = np.random.default_rng(8)
-    p = random_params(rng, (7, 7), heads=2, gate_channels=4)
+    p = random_params(rng, (7, 7), heads=2)
     x = rng.standard_normal((1, 14, 14, 8))
     for offset in [(0, 0), (3, 3)]:
         grid = WindowGrid((14, 14), (7, 7), offset=offset)
@@ -250,7 +265,7 @@ def test_window_sgu_locality():
 
 
 def test_window_sgu_validation_errors():
-    p = init_sgu_params((4, 4), heads=2, gate_channels=4)
+    p = init_sgu_params((4, 4), heads=2)
     grid = WindowGrid((8, 8), (4, 4))
     with pytest.raises(ValueError):
         multi_head_window_sgu(Tensor(np.zeros((1, 8, 8, 7))), p, grid)  # odd
@@ -268,7 +283,7 @@ def test_window_sgu_validation_errors():
 
 def test_oracle_matches_padding_free_shifted_14x14():
     rng = np.random.default_rng(9)
-    p = random_params(rng, (7, 7), heads=3, gate_channels=6)
+    p = random_params(rng, (7, 7), heads=3)
     x = Tensor(rng.standard_normal((1, 14, 14, 12)))
     grid = WindowGrid((14, 14), (7, 7), offset=(3, 3))
     fast = multi_head_window_sgu(x, p, grid).data
@@ -286,7 +301,7 @@ def test_oracle_matches_on_varied_shapes_and_seeds():
     ]
     for seed, (image, offset, K, C) in enumerate(cases, start=20):
         rng = np.random.default_rng(seed)
-        p = random_params(rng, (7, 7), heads=K, gate_channels=K * C, rel=seed % 2 == 0)
+        p = random_params(rng, (7, 7), heads=K, rel=seed % 2 == 0)
         x = Tensor(rng.standard_normal((2, *image, 2 * K * C)))
         grid = WindowGrid(image, (7, 7), offset=offset)
         fast = multi_head_window_sgu(x, p, grid).data
@@ -309,7 +324,7 @@ def test_oracle_matches_with_extreme_padding():
     ]
     for seed, (image, window, offset, B, K) in enumerate(cases, start=40):
         rng = np.random.default_rng(seed)
-        p = random_params(rng, window, heads=K, gate_channels=2 * K, rel=seed % 2 == 0)
+        p = random_params(rng, window, heads=K, rel=seed % 2 == 0)
         x = Tensor(rng.standard_normal((B, *image, 4 * K)))
         grid = WindowGrid(image, window, offset=offset)
         fast = multi_head_window_sgu(x, p, grid).data
@@ -336,14 +351,14 @@ def test_window_sgu_matches_oracle_on_random_tilings(case):
     x = Tensor(rng.standard_normal((B, *image, 2 * C)))
     back = window_reverse(window_partition(x.data, grid), grid)
     assert np.array_equal(back, x.data)
-    p = random_params(rng, window, heads=K, gate_channels=C, rel=bool(seed % 2))
+    p = random_params(rng, window, heads=K, rel=bool(seed % 2))
     fast = multi_head_window_sgu(x, p, grid).data
     assert np.max(np.abs(fast - zero_padding_shift_oracle(x, p, grid))) < 1e-12
 
 
 def test_oracle_unshifted_equals_plain_window_sgu():
     rng = np.random.default_rng(11)
-    p = random_params(rng, (4, 4), heads=2, gate_channels=4)
+    p = random_params(rng, (4, 4), heads=2)
     x = Tensor(rng.standard_normal((2, 8, 8, 8)))
     grid = WindowGrid((8, 8), (4, 4))
     fast = multi_head_window_sgu(x, p, grid).data
@@ -356,7 +371,7 @@ def test_oracle_unshifted_equals_plain_window_sgu():
 
 def test_window_sgu_gradcheck_all_parameters():
     rng = np.random.default_rng(12)
-    p = random_params(rng, (2, 2), heads=2, gate_channels=4)
+    p = random_params(rng, (2, 2), heads=2)
     x = Tensor(rng.standard_normal((1, 4, 4, 8)), requires_grad=True)
     grid = WindowGrid((4, 4), (2, 2), offset=(1, 1))
     r = Tensor(rng.standard_normal((1, 4, 4, 4)))
@@ -371,7 +386,7 @@ def test_window_sgu_gradcheck_all_parameters():
 def test_window_sgu_gradcheck_shifted_ragged_map():
     # 6x8 map, 2x3 windows shifted by (1, 1): padding on all four sides
     rng = np.random.default_rng(13)
-    p = random_params(rng, (2, 3), heads=2, gate_channels=4)
+    p = random_params(rng, (2, 3), heads=2)
     x = Tensor(rng.standard_normal((2, 6, 8, 8)), requires_grad=True)
     grid = WindowGrid((6, 8), (2, 3), offset=(1, 1))
     assert grid.pads == (1, 1, 2, 2)
@@ -389,7 +404,7 @@ def test_window_sgu_gradcheck_shifted_ragged_map():
 def test_window_sgu_gradcheck_branches_shifted_ragged_map(case):
     # each branch of the gating node's vjp, on the padded-on-all-sides grid above
     rng = np.random.default_rng(15)
-    p = random_params(rng, (2, 3), heads=2, gate_channels=4, rel=case != "no_rel_bias")
+    p = random_params(rng, (2, 3), heads=2, rel=case != "no_rel_bias")
     x = Tensor(rng.standard_normal((2, 6, 8, 8)), requires_grad=case != "input_without_grad")
     grid = WindowGrid((6, 8), (2, 3), offset=(1, 1))
     r = Tensor(rng.standard_normal((2, 6, 8, 4)))
@@ -407,7 +422,7 @@ def test_window_sgu_gradcheck_branches_shifted_ragged_map(case):
 
 def test_window_sgu_node_keeps_no_view_of_its_input():
     rng = np.random.default_rng(16)
-    p = random_params(rng, (2, 3), heads=2, gate_channels=4)
+    p = random_params(rng, (2, 3), heads=2)
     grid = WindowGrid((6, 8), (2, 3), offset=(1, 1))
     data = rng.standard_normal((2, 6, 8, 8))
     r = Tensor(rng.standard_normal((2, 6, 8, 4)))
