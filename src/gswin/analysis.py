@@ -188,7 +188,7 @@ def weight_tile_grid(w_eff: np.ndarray, window: tuple[int, int]) -> np.ndarray:
 
 def export_weight_maps(model: GswinModel, stage: int, layer: int, head: int,
                        out_prefix: str | Path) -> tuple[Path, Path]:
-    """Write the effective mixing weight as CSV (exact) and PGM (normalized).
+    """Write the effective mixing weight to ``<prefix>.csv`` (exact) and ``<prefix>.pgm``.
 
     The CSV holds the raw (T, T) matrix with full-precision decimal values;
     the P5 graymap shows the tile grid with min..max scaled to 0..255.
@@ -198,8 +198,8 @@ def export_weight_maps(model: GswinModel, stage: int, layer: int, head: int,
 
     prefix = Path(out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = prefix.with_suffix(".csv")
-    pgm_path = prefix.with_suffix(".pgm")
+    csv_path = prefix.with_name(prefix.name + ".csv")
+    pgm_path = prefix.with_name(prefix.name + ".pgm")
 
     with atomic_open(csv_path, "w", newline="") as f:
         writer = csv.writer(f)

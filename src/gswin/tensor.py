@@ -20,7 +20,7 @@ Data lives in float64 numpy arrays; tests rely on 64-bit precision.
 """
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -138,8 +138,6 @@ class Tensor:
 
         return Tensor._result(out_data, (self, other), vjp)
 
-    __radd__ = __add__
-
     def __mul__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
         a_shape, b_shape = self.shape, other.shape
@@ -155,10 +153,7 @@ class Tensor:
 
         return Tensor._result(out_data, (self, other), vjp)
 
-    __rmul__ = __mul__
-
-    def __matmul__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+    def __matmul__(self, other: "Tensor") -> "Tensor":
         a_shape, b_shape = self.shape, other.shape
         if len(a_shape) < 2 or len(b_shape) < 2:
             raise ValueError(f"matmul requires >=2-d operands, got {a_shape} @ {b_shape}")
@@ -193,35 +188,18 @@ class Tensor:
 
         return Tensor._result(out_data, (self, other), vjp)
 
-    # -- shape ops ----------------------------------------------------------
+    # -- reductions ---------------------------------------------------------
 
-    def reshape(self, *shape) -> "Tensor":
+    def sum(self, axis=None) -> "Tensor":
         a_shape = self.shape
-        out_data = self.data.reshape(shape)
-        return Tensor._result(out_data, (self,), lambda g: (g.reshape(a_shape),))
-
-    def transpose(self, axes: Sequence[int]) -> "Tensor":
-        axes = tuple(axes)
-        inv = tuple(np.argsort(axes))
-        out_data = self.data.transpose(axes)
-        return Tensor._result(out_data, (self,), lambda g: (g.transpose(inv),))
-
-    # -- reductions & elementwise ---------------------------------------------
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        a_shape = self.shape
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+        out_data = self.data.sum(axis=axis)
 
         def vjp(g):
-            if axis is not None and not keepdims:
+            if axis is not None:
                 g = np.expand_dims(g, axis)
             return (np.broadcast_to(g, a_shape).copy(),)
 
         return Tensor._result(out_data, (self,), vjp)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        total = self.sum(axis=axis, keepdims=keepdims)
-        return total * (total.size / self.size)
 
 
 class Parameter(Tensor):

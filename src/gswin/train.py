@@ -70,7 +70,7 @@ EVAL_BATCH = 64  # images per no-grad forward in ``evaluate``
 
 def adamw_step(params: list[Parameter], grads: list[np.ndarray],
                state: dict[str, dict[str, np.ndarray]], t: int, config: TrainConfig,
-               decay_mask: list[bool] | None = None) -> dict:
+               decay_mask: list[bool]) -> dict:
     """One decoupled-weight-decay Adam update at step ``t`` (1-based).
 
     Decay multiplies parameters by (1 - lr_t * wd) before the moment update;
@@ -80,8 +80,6 @@ def adamw_step(params: list[Parameter], grads: list[np.ndarray],
     """
     if len(params) != len(grads):
         raise ValueError("params and grads differ in length")
-    if decay_mask is None:
-        decay_mask = [True] * len(params)
     lr_t = lr_at(min(t, config.total_steps), config)
     b1c = 1.0 - ADAM_BETA1 ** t
     b2c = 1.0 - ADAM_BETA2 ** t

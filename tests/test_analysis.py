@@ -281,6 +281,18 @@ def test_weight_map_write_that_fails_keeps_the_previous_file(tmp_path, monkeypat
     assert sorted(f.name for f in tmp_path.iterdir()) == ["m.csv", "m.pgm"]
 
 
+def test_dotted_prefixes_keep_their_tails(tmp_path):
+    model = GswinModel(small_cfg(), seed=0)
+    model.stages[0][1].sgu.w_win.data += 1.0  # the two layers' maps differ
+    paths = [export_weight_maps(model, 0, layer, 0, tmp_path / "maps" / f"s0.l{layer}")
+             for layer in (0, 1)]
+    assert [(c.name, p.name) for c, p in paths] == [("s0.l0.csv", "s0.l0.pgm"),
+                                                    ("s0.l1.csv", "s0.l1.pgm")]
+    assert (read_weight_csv(paths[0][0]) == 0).all()
+    assert (read_weight_csv(paths[1][0]) == 1).all()
+    assert len(list((tmp_path / "maps").iterdir())) == 4
+
+
 def test_export_rejects_bad_indices(tmp_path):
     model = GswinModel(small_cfg(), seed=0)
     for stage, layer, head in [(4, 0, 0), (0, 5, 0), (0, 0, 9), (-1, 0, 0)]:

@@ -130,7 +130,7 @@ def test_gradcheck_ops_scope(capsys):
     assert run(["gradcheck", "--scope", "ops"]) == 0
     kv = _lines(capsys)
     assert kv["status"] == "ok"
-    assert int(kv["checks"]) == 11
+    assert int(kv["checks"]) == 9
     assert float(kv["worst_rel_err"]) < 1e-5
 
 
