@@ -148,8 +148,9 @@ def multi_head_window_sgu(x: Tensor, params: SguParams, grid: WindowGrid) -> Ten
     wt = effective_weight(params, grid.window).transpose(2, 0, 1)
     zh = _head_major(window_partition(x.data[..., C:], grid)[0], grid, K)
     # A non-recording wrap keeps the mixing GEMM visible to a tracer patching ``Tensor``.
-    mixed = (Tensor(wt) @ Tensor(zh)).data + b_win.data.T.reshape(K, -1, 1)
-    zh = zh if record else None
+    mixed = (Tensor(wt) @ Tensor(zh)).data
+    zh = zh if record else None  # freed before the bias add when no vjp reads it
+    mixed += b_win.data.T.reshape(K, -1, 1)
     m = window_reverse([_map_major(mixed, grid, B)], grid)
     del mixed
     z1 = x.data[..., :C]

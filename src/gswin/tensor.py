@@ -28,6 +28,8 @@ from scipy.special import erf as _erf
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 _LN_EPS = 1e-5
+# Values per GELU block: a block's input, CDF and output (3 x 128 KB) stay in L2.
+_BLOCK = 1 << 14
 
 _grad_enabled = True
 
@@ -221,24 +223,34 @@ class Parameter(Tensor):
 def gelu(x: Tensor) -> Tensor:
     """Gaussian Error Linear Unit, exact erf form.
 
-    When a node is recorded, the forward also computes the slope
-    ``cdf + x * pdf`` and the vjp keeps only that array, not ``x`` or ``cdf``;
-    otherwise it computes the output alone.
+    Runs in blocks of ``_BLOCK`` values with the CDF in one reused block
+    buffer, so the forward allocates only its output and, when a node is
+    recorded, the slope ``cdf + x * pdf``; the vjp keeps only the slope, not
+    ``x`` or ``cdf``. Each block runs ``x * (0.5 * (1.0 + erf(x / sqrt 2)))``'s
+    operations in that order, so every value rounds as the whole-array form.
     """
-    x_data = x.data
-    cdf = 0.5 * (1.0 + _erf(x_data * _INV_SQRT2))
-    out_data = x_data * cdf
-    slope = None
-    if Tensor._records((x,)):
-        # The closed form's operations in its order, in place on one buffer, so
-        # the gradient rounds as g * (cdf + x * pdf) with
-        # pdf = _INV_SQRT_2PI * exp(-0.5 * x * x) does.
-        slope = np.multiply(x_data, -0.5)
-        slope *= x_data
-        np.exp(slope, out=slope)
-        slope *= _INV_SQRT_2PI
-        slope *= x_data
-        slope += cdf
+    x_flat = x.data.reshape(-1)
+    out_data = np.empty(x.shape)  # C-contiguous, so its flat view below is no copy
+    slope = np.empty(x.shape) if Tensor._records((x,)) else None
+    cdf_buf = np.empty(min(x_flat.size, _BLOCK))
+    for lo in range(0, x_flat.size, _BLOCK):
+        xb = x_flat[lo:lo + _BLOCK]
+        cdf = cdf_buf[:xb.size]
+        np.multiply(xb, _INV_SQRT2, out=cdf)
+        _erf(cdf, out=cdf)
+        cdf += 1.0
+        cdf *= 0.5
+        np.multiply(xb, cdf, out=out_data.reshape(-1)[lo:lo + _BLOCK])
+        if slope is not None:
+            # The closed form's operations in its order, so the gradient rounds
+            # as g * (cdf + x * pdf) with pdf = _INV_SQRT_2PI * exp(-0.5 * x * x) does.
+            sb = slope.reshape(-1)[lo:lo + _BLOCK]
+            np.multiply(xb, -0.5, out=sb)
+            sb *= xb
+            np.exp(sb, out=sb)
+            sb *= _INV_SQRT_2PI
+            sb *= xb
+            sb += cdf
     return Tensor._result(out_data, (x,), lambda g: (g * slope,))
 
 

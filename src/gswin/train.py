@@ -80,6 +80,8 @@ def adamw_step(params: list[Parameter], grads: list[np.ndarray],
     """
     if len(params) != len(grads):
         raise ValueError("params and grads differ in length")
+    if len(decay_mask) != len(params):
+        raise ValueError(f"decay_mask has {len(decay_mask)} entries for {len(params)} params")
     lr_t = lr_at(min(t, config.total_steps), config)
     b1c = 1.0 - ADAM_BETA1 ** t
     b2c = 1.0 - ADAM_BETA2 ** t

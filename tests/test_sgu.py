@@ -1,4 +1,5 @@
 """Gating kernels: brute-force oracles, padding equivalence, structure checks."""
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -418,6 +419,26 @@ def test_window_sgu_gradcheck_branches_shifted_ragged_map(case):
     worst = check_gradients(lambda: (multi_head_window_sgu(x, p, grid) * r).sum(), wrt, tol=1e-4)
     assert worst < 1e-4
     assert all(t.grad is None for t in (x, *params) if not t.requires_grad)
+
+
+def test_no_grad_window_sgu_holds_two_gate_halves_beside_its_output():
+    # The shifted 12x12 map pads to 16x16, so a padded gate half is 1.78 times
+    # the output. The head-major gate half is freed before the bias adds in
+    # place on the mixing GEMM's output; a third copy breaks the bound.
+    rng = np.random.default_rng(30)
+    grid = WindowGrid((12, 12), (4, 4), offset=(2, 2))
+    p = random_params(rng, (4, 4), heads=4)
+    x = Tensor(rng.standard_normal((2, 12, 12, 256)))
+    (nh, nw), (h, w) = grid.counts, grid.window
+    gate_half = 2 * nh * h * nw * w * 128 * x.data.itemsize
+    tracemalloc.start()
+    try:
+        with no_grad():
+            out = multi_head_window_sgu(x, p, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.data.nbytes + 2 * gate_half, (peak, gate_half)
 
 
 def test_window_sgu_node_keeps_no_view_of_its_input():

@@ -1,4 +1,5 @@
 """Autodiff engine: every primitive against central finite differences."""
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from scipy.special import erf
 
 from gswin.tensor import (
+    _BLOCK,
     Tensor,
     Parameter,
     _Node,
@@ -127,15 +129,37 @@ def test_gelu_grad_and_values():
 
 
 def test_gelu_grad_equals_the_closed_form_bit_for_bit():
+    # Two blocks and a ragged tail cross every block edge. A transposed view
+    # still gets a C-contiguous output: a block written into a flattened copy
+    # of the output would be lost.
     tails = np.linspace(-8.0, 8.0, 41)
     x_data = np.concatenate([[0.0, 1e-3, -1e-3, 1.0, -1.0], tails,
-                             RNG.standard_normal(64)])
-    g = RNG.standard_normal(x_data.shape)
-    x = Tensor(x_data, requires_grad=True)
-    backward((gelu(x) * Tensor(g)).sum())
-    cdf = 0.5 * (1.0 + erf(x_data * (1.0 / np.sqrt(2.0))))
-    pdf = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x_data * x_data)
-    assert np.array_equal(x.grad, g * (cdf + x_data * pdf))
+                             RNG.standard_normal(2 * _BLOCK + 64)])
+    x_view = x_data[:7 * (x_data.size // 7)].reshape(7, -1).T
+    for data in (x_data, x_view):
+        g = RNG.standard_normal(data.shape)
+        cdf = 0.5 * (1.0 + erf(data * (1.0 / np.sqrt(2.0))))
+        pdf = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * data * data)
+        x = Tensor(data, requires_grad=True)
+        y = gelu(x)
+        backward((y * Tensor(g)).sum())
+        assert y.data.flags.c_contiguous
+        assert np.array_equal(y.data, data * cdf)
+        assert np.array_equal(x.grad, g * (cdf + data * pdf))
+        with no_grad():
+            assert np.array_equal(gelu(Tensor(data)).data, data * cdf)
+
+
+def test_no_grad_gelu_allocates_its_output_and_one_block():
+    x = Tensor(RNG.standard_normal(3 * _BLOCK + 5))
+    tracemalloc.start()
+    try:
+        with no_grad():
+            out = gelu(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.data.nbytes + 2 * _BLOCK * x.data.itemsize, peak
 
 
 def test_recorded_gelu_keeps_no_view_of_its_input():

@@ -167,6 +167,9 @@ def test_adamw_shape_mismatch():
     (lambda: adamw_step([Parameter(np.zeros(3), "p")], [], {}, 1, flat_lr_config(),
                         decay_mask=[True]),
      "params and grads differ in length"),
+    (lambda: adamw_step([Parameter(np.zeros(3), "p"), Parameter(np.zeros(2), "q")],
+                        [np.ones(3), np.ones(2)], {}, 1, flat_lr_config(), decay_mask=[True]),
+     "decay_mask has 1 entries for 2 params"),
     (lambda: micro_task(classes=1), "two classes"),
 ])
 def test_engine_and_training_reject_degenerate_inputs(make, match):

@@ -15,7 +15,10 @@ The object holds, in order:
   block's ``effective_mixing_weight`` of one training step (perturbed gates,
   drop-path 0.1) of the smoke model, a ragged 64 px model without the
   relative-offset table, and ``gswin-vt`` at 224 px;
-- ``eval.<model>.logits``: one no-grad forward of ``gswin-t`` at 224 px;
+- ``eval.<model>.logits``: one no-grad forward of one image (perturbed gates)
+  through the smoke model, the ragged 64 px model and ``gswin-t`` at 224 px.
+  The first two run the non-recording gating unit on padded ragged grids and
+  GELU on maps smaller than one of its blocks, the third on many blocks;
 - ``checkpoint.<model>``: the bytes of a saved seed-0 checkpoint;
 - ``count_params.*`` per module and ``count_flops.*`` of each preset at 160,
   224 and 256 px under both strategies.
@@ -62,14 +65,16 @@ def _plan(tiny: bool) -> dict:
     ragged = replace(smoke, base_channels=8, window=(3, 5), image_size=64, rel_bias=False)
     if tiny:
         micro = replace(smoke, base_channels=4, depths=(1, 2, 1, 1), heads=2)
+        tiny_ragged = replace(ragged, base_channels=4)
         return {"presets": {"micro": micro},
-                "steps": {"micro": (micro, 2), "ragged": (replace(ragged, base_channels=4), 2)},
-                "eval": ("micro", micro), "checkpoint": ("micro", micro),
+                "steps": {"micro": (micro, 2), "ragged": (tiny_ragged, 2)},
+                "eval": {"micro": micro, "ragged": tiny_ragged}, "checkpoint": ("micro", micro),
                 "resolutions": (32, 64)}
     return {"presets": PRESETS,
             "steps": {"smoke": (smoke, 4), "ragged64": (ragged, 3),
                       "gswin-vt": (replace(PRESETS["gswin-vt"], drop_path_rate=DROP_PATH), 2)},
-            "eval": ("gswin-t", PRESETS["gswin-t"]), "checkpoint": ("smoke", smoke),
+            "eval": {"smoke": smoke, "ragged64": ragged, "gswin-t": PRESETS["gswin-t"]},
+            "checkpoint": ("smoke", smoke),
             "resolutions": FLOP_RESOLUTIONS}
 
 
@@ -124,12 +129,13 @@ def fingerprint(tiny: bool = False) -> dict:
             out[f"init.{preset}.{p.name}"] = digest(p.data)
     for seed, (name, (config, batch)) in enumerate(plan["steps"].items()):
         out.update(_step(name, config, batch, seed=100 * (seed + 1)))
-    name, config = plan["eval"]
-    size = config.image_size
-    images = np.random.default_rng(7).standard_normal((1, size, size, 3))
-    with no_grad():
-        logits = GswinModel(config, seed=0).forward(Tensor(images))
-    out[f"eval.{name}.logits"] = digest(logits.data)
+    for seed, (name, config) in enumerate(plan["eval"].items()):
+        model = GswinModel(config, seed=0)
+        _perturb_gates(model, np.random.default_rng(10 * seed + 7))
+        size = config.image_size
+        images = np.random.default_rng(10 * seed + 8).standard_normal((1, size, size, 3))
+        with no_grad():
+            out[f"eval.{name}.logits"] = digest(model.forward(Tensor(images)).data)
     name, config = plan["checkpoint"]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "seed0.ckpt"
