@@ -11,7 +11,11 @@ product touches every gate channel exactly once regardless of grouping).
 Both strategies read a layer's geometry from its
 :class:`~gswin.windows.WindowGrid`. "padding-free" charges each window its
 true token count (the paper's count); "zero-padding" charges every window of
-the padded grid in full, which is the arithmetic the model executes.
+the padded grid in full, which is the arithmetic the model executes on a map
+that is not a whole number of windows. A map that is, as every map of the
+presets at 224 px is, runs rolled as H*W/(h*w) whole windows, shifted or
+not: its mixing work is the unshifted layer's, which for a shifted layer
+lies between the two counts.
 """
 from __future__ import annotations
 

@@ -155,7 +155,13 @@ def parse_config_text(text: str, source: str) -> dict[str, str]:
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"), str(path))
+    """:func:`parse_config_text` of a UTF-8 file; a file that does not decode
+    raises ``ValueError`` naming the path."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return parse_config_text(text, str(path))
 
 
 def format_config(config) -> str:

@@ -95,12 +95,17 @@ def op_gradcheck_suite(seed: int = 0, tol: float = 1e-5) -> list[tuple[str, floa
     beta = leaf(6)
     ln_x = leaf(2, 5, 6)
     labels = rng.integers(0, 4, size=3)
-    gate = init_sgu_params((2, 2), heads=2, prefix="gate")
-    for p in (gate.w_win, gate.b_win, gate.rel_table):
-        p.data = rng.standard_normal(p.shape)
-    gate_x = leaf(1, 3, 3, 8)
-    gate_grid = WindowGrid((3, 3), (2, 2), offset=(1, 1))
-    gate_r = Tensor(rng.standard_normal((1, 3, 3, 4)))
+    # a zero-padded grid and a rolled one, whose four window types are one window each
+    gate_grids = (WindowGrid((3, 3), (2, 2), offset=(1, 1)),
+                  WindowGrid((6, 8), (3, 4), offset=(1, 2)))
+    gates = [init_sgu_params(grid.window, heads=2, prefix="gate") for grid in gate_grids]
+    for gate in gates:
+        for p in (gate.w_win, gate.b_win, gate.rel_table):
+            p.data = rng.standard_normal(p.shape)
+    gate_xs = [leaf(1, *grid.image, 8) for grid in gate_grids]
+    gate_rs = [Tensor(rng.standard_normal((1, *grid.image, 4))) for grid in gate_grids]
+    gate_inputs = tuple(t for x, g in zip(gate_xs, gates)
+                        for t in (x, g.w_win, g.b_win, g.rel_table))
     fold_x = leaf(2, 4, 6, 3)
     fold_r = Tensor(rng.standard_normal((2, 2, 3, 12)))
 
@@ -113,9 +118,10 @@ def op_gradcheck_suite(seed: int = 0, tol: float = 1e-5) -> list[tuple[str, floa
         ("gelu", lambda: T.gelu(a).sum(), (a,)),
         ("layer_norm", lambda: (T.layer_norm(ln_x, gamma, beta) * 0.2).sum(), (ln_x, gamma, beta)),
         ("cross_entropy", lambda: cross_entropy(a, labels, smoothing=0.1), (a,)),
-        ("multi_head_window_sgu", lambda: (multi_head_window_sgu(gate_x, gate, gate_grid)
-                                           * gate_r).sum(),
-         (gate_x, gate.w_win, gate.b_win, gate.rel_table)),
+        ("multi_head_window_sgu", lambda: sum(
+            ((multi_head_window_sgu(x, g, grid) * r).sum()
+             for x, g, grid, r in zip(gate_xs, gates, gate_grids, gate_rs)), Tensor(0.0)),
+         gate_inputs),
     ]
     results = []
     for name, f, inputs in cases:

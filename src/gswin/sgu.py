@@ -5,18 +5,24 @@ mixes the gate half spatially with a learned token-by-token weight per head,
 and multiplies: Y = Z1 * (W Z2 + b). :func:`multi_head_window_sgu` applies
 this rule in each window of a :class:`~gswin.windows.WindowGrid`.
 
-Partial windows of a shifted or ragged grid are zero-padded to whole windows
-(the ``zero-padding`` strategy of :mod:`gswin.analysis`), so each layer mixes
-one uniform window batch with one GEMM per head. Padded tokens contribute
-nothing to the real ones and their own outputs are cropped, so the result
-equals slicing the weights for each partial window (the ``padding-free``
-strategy, which the paper counts as cheaper).
+Each layer mixes the window types of its grid with one matmul per type,
+batched over the heads. It gathers each type's gate half straight from
+slices of the map and writes the result back through the same slices. A map
+that is a whole number of windows is mixed rolled by ``-offset`` (Swin's
+cyclic shift): the interior windows with the full weight, and the wrapped
+last row, last column and corner with the weight zeroed between tokens of
+different bands. Any other map is mixed as one batch of windows zero-padded
+to whole windows (the ``zero-padding`` strategy of :mod:`gswin.analysis`).
+Either way every token keeps its in-window position and mixes only with the
+real tokens of its own window, so the result equals slicing the weights for
+each partial window (the ``padding-free`` strategy, which the paper counts
+as cheaper).
 
 A gating layer records one graph node, over the input, ``w_win``, ``b_win``
 and the relative-offset table, with an analytic vjp. The forward builds the
 effective weight in numpy, and the vjp scatters its gradient back onto the
 table. A recorded node keeps what that vjp reads, a copy of the value half,
-the mixed gate and the head-major gate half, and forms every parent's
+the mixed gate and each type's head-major gate half, and forms every parent's
 gradient; ``backward`` drops those of parents that need none. Its output
 carries the recipe ``z1 * m`` (see :mod:`gswin.tensor`), so the projection
 after it keeps no copy of the gated map and rebuilds it in backward.
@@ -28,7 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import Parameter, Tensor
-from .windows import WindowGrid, window_partition, window_reverse
+from .windows import Piece, WindowGrid, WindowType
+# Not called here; the benchmark's probe (perfbench/probe.py) wraps these names.
+from .windows import window_partition, window_reverse  # noqa: F401
 
 
 def _table_rows(window: tuple[int, int]) -> int:
@@ -99,20 +107,34 @@ def init_sgu_params(window: tuple[int, int], heads: int, rel_bias: bool = True,
                      if rel_bias else None)
 
 
-def _head_major(a: np.ndarray, grid: WindowGrid, heads: int) -> np.ndarray:
-    """Lay a padded (B, ..., C) map out as (K, T, windows*ch) in one copy, so
-    each of the K heads mixes all windows of the batch with one GEMM."""
-    (nh, nw), (h, w) = grid.counts, grid.window
+def _windowed(a: np.ndarray, rows: Piece, cols: Piece, heads: int) -> np.ndarray:
+    """The tokens of a (B, H, W, C) map that two pieces name, as a
+    (K, h', w', B, n_r, n_c, ch) view laid out like :func:`_gather`'s batch."""
     B, C = a.shape[0], a.shape[-1]
-    return (a.reshape(B, nh, h, nw, w, heads, C // heads)
-            .transpose(5, 2, 4, 0, 1, 3, 6).reshape(heads, h * w, -1))
+    nr, hp = rows.win.stop - rows.win.start, rows.pos.stop - rows.pos.start
+    nc, wp = cols.win.stop - cols.win.start, cols.pos.stop - cols.pos.start
+    return (a[:, rows.src, cols.src].reshape(B, nr, hp, nc, wp, heads, C // heads)
+            .transpose(5, 2, 4, 0, 1, 3, 6))
 
 
-def _map_major(a: np.ndarray, grid: WindowGrid, batch: int) -> np.ndarray:
-    """Inverse of :func:`_head_major`: a (B, n_h, h, n_w, w, C) window batch."""
-    (nh, nw), (h, w) = grid.counts, grid.window
-    return (a.reshape(a.shape[0], h, w, batch, nh, nw, -1)
-            .transpose(3, 4, 1, 5, 2, 0, 6).reshape(batch, nh, h, nw, w, -1))
+def _gather(a: np.ndarray, wtype: WindowType, grid: WindowGrid, heads: int) -> np.ndarray:
+    """One window type's tokens of a (B, H, W, C) map as a (K, T, windows*ch)
+    batch in one copy, so each of the K heads mixes them with one GEMM; the
+    padding of a grid that is not rolled is zero."""
+    (nr, nc), (h, w) = wtype.counts, grid.window
+    out = (np.empty if grid.rolled else np.zeros)(
+        (heads, h, w, a.shape[0], nr, nc, a.shape[-1] // heads))
+    for rows, cols in wtype.pieces:
+        out[:, rows.pos, cols.pos, :, rows.win, cols.win] = _windowed(a, rows, cols, heads)
+    return out.reshape(heads, h * w, -1)
+
+
+def _scatter(batch: np.ndarray, wtype: WindowType, grid: WindowGrid, out: np.ndarray) -> None:
+    """Inverse of :func:`_gather`: write the batch back onto its tokens of ``out``."""
+    (nr, nc), (h, w), K = wtype.counts, grid.window, batch.shape[0]
+    batch = batch.reshape(K, h, w, out.shape[0], nr, nc, -1)
+    for rows, cols in wtype.pieces:
+        _windowed(out, rows, cols, K)[...] = batch[:, rows.pos, cols.pos, :, rows.win, cols.win]
 
 
 def effective_weight(params: SguParams, window: tuple[int, int]) -> np.ndarray:
@@ -131,9 +153,9 @@ def effective_weight(params: SguParams, window: tuple[int, int]) -> np.ndarray:
 def multi_head_window_sgu(x: Tensor, params: SguParams, grid: WindowGrid) -> Tensor:
     """Windowed multi-head gating over a (B, H, W, 2C) feature map.
 
-    The gate half is zero-padded to whole windows, mixed as one window batch,
-    cropped back to the map, and multiplied into the value half. Output is
-    (B, H, W, C).
+    The gate half is mixed per window type of ``grid``, with the weight
+    masked to each type's bands, written back onto the map, and multiplied
+    into the value half. Output is (B, H, W, C).
     """
     C2 = x.shape[-1]
     if C2 % 2:
@@ -142,42 +164,51 @@ def multi_head_window_sgu(x: Tensor, params: SguParams, grid: WindowGrid) -> Ten
     if C % K:
         raise ValueError(f"heads {K} do not divide the gate half's {C} channels")
     B, H, W, _ = x.shape
+    if (H, W) != grid.image:
+        raise ValueError(f"grid built for {grid.image}, input map is {(H, W)}")
     w_win, b_win, table = params.w_win, params.b_win, params.rel_table
     parents = (x, w_win, b_win) if table is None else (x, w_win, b_win, table)
     record = Tensor._records(parents)
     wt = effective_weight(params, grid.window).transpose(2, 0, 1)
-    zh = _head_major(window_partition(x.data[..., C:], grid)[0], grid, K)
-    # A non-recording wrap keeps the mixing GEMM visible to a tracer patching ``Tensor``.
-    mixed = (Tensor(wt) @ Tensor(zh)).data
-    zh = zh if record else None  # freed before the bias add when no vjp reads it
-    mixed += b_win.data.T.reshape(K, -1, 1)
-    m = window_reverse([_map_major(mixed, grid, B)], grid)
-    del mixed
+    wts = [np.where(t.mask, wt, 0.0) for t in grid.types]
+    bias = b_win.data.T.reshape(K, -1, 1)
+    m, zhs = None, []
+    for wtype, wt_t in zip(grid.types, wts):
+        zh = _gather(x.data[..., C:], wtype, grid, K)
+        # A non-recording wrap keeps the mixing GEMM visible to a tracer patching ``Tensor``.
+        mixed = (Tensor(wt_t) @ Tensor(zh)).data
+        if record:
+            zhs.append(zh)
+        del zh  # freed before the bias add when no vjp reads it
+        mixed += bias
+        if m is None:  # allocated only once the first gate-half copy is freed
+            m = np.empty((B, H, W, C))
+        _scatter(mixed, wtype, grid, m)
+        del mixed
     z1 = x.data[..., :C]
     if not record:
         return Tensor(z1 * m)
-    m = np.ascontiguousarray(m)  # drops the crop's padded base before ``out`` exists
     z1 = z1.copy()  # a view of ``x`` would keep the whole (B, H, W, 2C) input alive
     out = z1 * m
-    (nh, nw), (h, w) = grid.counts, grid.window
-    padded = (B, nh * h, nw * w, C)
 
     def vjp(g):
-        dm = np.zeros(padded)
-        np.multiply(g, z1, out=grid.crop(dm))
-        dmh = _head_major(dm, grid, K)
-        del dm
-        dw = np.matmul(dmh, np.swapaxes(zh, -1, -2)).transpose(1, 2, 0)
-        db = dmh.sum(axis=2).T
+        dm = g * z1
+        dx = np.empty((B, H, W, C2))
+        np.multiply(g, m, out=dx[..., :C])
+        dw = db = None
+        for wtype, wt_t, zh in zip(grid.types, wts, zhs):
+            dmh = _gather(dm, wtype, grid, K)
+            dw_t = np.matmul(dmh, np.swapaxes(zh, -1, -2))
+            dw_t[:, ~wtype.mask] = 0.0
+            db_t = dmh.sum(axis=2)
+            dw, db = (dw_t, db_t) if dw is None else (dw + dw_t, db + db_t)
+            _scatter(np.matmul(np.swapaxes(wt_t, -1, -2), dmh), wtype, grid, dx[..., C:])
+        dw = dw.transpose(1, 2, 0)
         dtable = None
         if table is not None:
             dtable = np.zeros(table.shape)
             np.add.at(dtable, toeplitz_index_map(grid.window).reshape(-1), dw.reshape(-1, K))
-        dx = np.empty((B, H, W, C2))
-        np.multiply(g, m, out=dx[..., :C])
-        dz = _map_major(np.matmul(np.swapaxes(wt, -1, -2), dmh), grid, B)
-        dx[..., C:] = grid.crop(dz.reshape(padded))
-        return dx, dw, db, dtable
+        return dx, dw, db.T, dtable
 
     y = Tensor._result(out, parents, vjp)
     y._remake = lambda: z1 * m

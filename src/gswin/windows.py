@@ -1,13 +1,80 @@
 """Window tiling geometry.
 
 :class:`WindowGrid` is the one description of a layer's tiling: its pad
-widths, window counts and band extents, and the crop back from the padded
-map. The gating unit mixes the padded map as one uniform window batch per
-layer. The window helpers work on numpy arrays.
+widths, window counts and band extents, the crop back from the padded map,
+and the window types the gating unit mixes. A grid whose map extents are
+whole multiples of its window is mixed on the map rolled by ``-offset``
+(Swin's cyclic shift): no window is padded, and the windows that wrap round
+the map's edge mix only tokens of their own band. Any other grid is mixed
+zero-padded to whole windows. The window helpers work on numpy arrays.
 """
 from __future__ import annotations
 
+from itertools import product
+from typing import NamedTuple
+
 import numpy as np
+
+
+class Piece(NamedTuple):
+    """One axis of a block of map tokens that sits whole in a window type's batch.
+
+    ``src`` is the token range on the map, laid out as the windows ``win`` of
+    the type's batch at in-window positions ``pos``.
+    """
+
+    win: slice
+    pos: slice
+    src: slice
+
+
+class WindowType(NamedTuple):
+    """Windows of a grid that the gating unit mixes as one batch with one weight.
+
+    counts: (rows, cols) of windows in the batch.
+    pieces: (row, column) :class:`Piece` pairs that together place every map
+            token of these windows.
+    mask:   (T, T) bool, True where two in-window positions lie in one band
+            of the map.
+    """
+
+    counts: tuple[int, int]
+    pieces: tuple[tuple[Piece, Piece], ...]
+    mask: np.ndarray
+
+
+def _axis_groups(extent: int, window: int, origin: int,
+                 roll: bool) -> list[tuple[int, tuple[Piece, ...], int]]:
+    """Along one axis, (window count, pieces, band split) of each window group.
+
+    Padded, one group covers the axis: the leading partial band sits at the
+    end of window 0 and the trailing one at the start of the last window.
+    Rolled, the whole windows form one group and the two partial bands share
+    one wrapped window, split between them at the same positions. A split of
+    0 leaves the window one band.
+    """
+    lead = (window - origin) % window
+    full, tail = divmod(extent - origin, window)
+    first = 1 if origin else 0
+    head = Piece(slice(0, 1), slice(lead, window), slice(0, origin))
+    body = Piece(slice(first, first + full), slice(0, window),
+                 slice(origin, origin + full * window))
+    end = Piece(slice(first + full, first + full + 1), slice(0, tail), slice(extent - tail, extent))
+    if not roll:
+        pieces = (head,) * bool(origin) + (body,) * bool(full) + (end,) * bool(tail)
+        return [(first + full + bool(tail), pieces, 0)]
+    groups = [(full, (body._replace(win=slice(0, full)),), 0)] if full else []
+    if origin:  # tail == lead: the two partial bands fill one window
+        groups.append((1, (end._replace(win=slice(0, 1)), head), lead))
+    return groups
+
+
+def _band_mask(window: tuple[int, int], splits: tuple[int, int]) -> np.ndarray:
+    """(T, T) bool: True where two in-window positions lie on one side of each split."""
+    same = [band[:, None] == band[None, :]
+            for band in (np.arange(e) >= split for e, split in zip(window, splits))]
+    T = window[0] * window[1]
+    return (same[0][:, None, :, None] & same[1][None, :, None, :]).reshape(T, T)
 
 
 def _check_axis(extent: int, window: int, origin: int) -> None:
@@ -23,10 +90,10 @@ def shift_offset(window: tuple[int, int], shifted: bool) -> tuple[int, int]:
 
 
 class WindowGrid:
-    """Uniform tiling of an H x W map by h x w windows, zero-padded to fit.
+    """Uniform tiling of an H x W map by h x w windows.
 
-    The first whole window starts at ``offset`` (oy, ox). The map is padded
-    with ``(h - oy) % h`` rows on top and ``(w - ox) % w`` columns on the
+    The first whole window starts at ``offset`` (oy, ox). Zero-padded, the
+    map gets ``(h - oy) % h`` rows on top and ``(w - ox) % w`` columns on the
     left, so that a leading partial band becomes a whole window, and on the
     bottom and right up to a whole window.
 
@@ -35,6 +102,15 @@ class WindowGrid:
     bands:  per axis, the token extents of the bands the tiling cuts the
             unpadded axis into: a leading partial band when the origin is
             nonzero, the whole windows, and a trailing remainder.
+    rolled: H and W are whole multiples of h and w, so the windows tile the
+            map rolled by ``-offset`` with no padding. Each token keeps the
+            in-window position that padding gives it; the last row and
+            column of windows wrap round the map's edge.
+    types:  the :class:`WindowType` batches the gating unit mixes. Rolled:
+            the interior windows, the wrapped last row, the wrapped last
+            column and the corner, each present when it holds a window, the
+            wrapped ones masked to their bands. Otherwise: one batch of
+            every padded window.
     """
 
     def __init__(self, image: tuple[int, int], window: tuple[int, int],
@@ -54,6 +130,12 @@ class WindowGrid:
         self.pads = tuple(pads)
         self.counts = tuple(counts)
         self.bands = tuple(bands)
+        self.rolled = all(e % win == 0 for e, win in zip(self.image, self.window))
+        rows, cols = (_axis_groups(e, win, o, self.rolled)
+                      for e, win, o in zip(self.image, self.window, self.offset))
+        self.types = tuple(
+            WindowType((nr, nc), tuple(product(pr, pc)), _band_mask(self.window, (sr, sc)))
+            for (nr, pr, sr), (nc, pc, sc) in product(rows, cols))
 
     def crop(self, a: np.ndarray) -> np.ndarray:
         """The view of a padded (B, H_pad, W_pad, ...) map that holds the unpadded one."""

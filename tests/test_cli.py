@@ -100,6 +100,15 @@ def test_count_missing_config_file_is_validation_error(tmp_path):
     assert run(["count", "--config", str(tmp_path / "absent.cfg")]) == 2
 
 
+def test_count_config_that_is_not_utf8_names_the_file(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"base_channels = \xff8\n")
+    assert run(["count", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "utf-8" in err
+    assert "Traceback" not in err
+
+
 def test_count_bad_preset_name_is_usage_error():
     assert run(["count", "--model", "gswin-xxl"]) == 1
 
@@ -174,9 +183,10 @@ def test_equiv_reports_and_passes(capsys):
     kv = dict(line.partition("=")[::2] for line in raw.splitlines() if "=" in line
               and not line.startswith("case "))
     assert kv["status"] == "ok"
-    assert int(kv["cases"]) == 10
+    assert int(kv["cases"]) == 12
     assert float(kv["max_abs_diff"]) < 1e-12
-    assert raw.count("case image=") == 10
+    assert raw.count("case image=") == 12
+    assert raw.count("case image=9x16 shifted=True") == 2
 
 
 def test_equiv_seed_env_var(monkeypatch, capsys):
@@ -198,7 +208,7 @@ def test_equiv_json_lists_every_case(capsys):
     assert run(["equiv", "--seeds", "1", "--seed", "4", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "ok"
-    assert len(doc["case_diffs"]) == doc["cases"] == 5
+    assert len(doc["case_diffs"]) == doc["cases"] == 6
     assert {c["seed"] for c in doc["case_diffs"]} == {4}
     assert all(float(c["max_abs_diff"]) < 1e-12 for c in doc["case_diffs"])
 

@@ -259,14 +259,15 @@ def test_single_block_gradcheck():
     assert worst < 1e-4
 
 
-@pytest.mark.parametrize("shifted, budget", [(False, 17.0), (True, 19.0)])
+@pytest.mark.parametrize("shifted, budget", [(False, 17.0), (True, 17.0)])
 def test_training_block_holds_its_activation_budget(shifted, budget):
     # In units of one input-sized array (B*H*W*d float64), a block's graph
     # holds 16:
     # - GELU's slope: 6
     # - the gating node's value half z1: 3
     # - its mixed gate m: 3
-    # - its head-major gate half zh: 3, plus padding when shifted
+    # - its head-major gate half zh: 3, unpadded also when shifted, since the
+    #   16x16 map is a whole number of windows and is mixed rolled
     # - LayerNorm's xhat: 1
     # The projections keep no input: each rebuilds it from its producer's
     # arrays. A second array kept by any op breaks the budget.

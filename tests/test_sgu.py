@@ -322,6 +322,7 @@ def test_oracle_matches_with_extreme_padding():
         ((10, 13), (4, 4), (2, 2), 2, 1),
         ((10, 13), (4, 4), (2, 2), 1, 7),
         ((6, 9), (3, 4), (1, 2), 2, 3),
+        ((6, 8), (3, 4), (1, 2), 2, 2),  # rolled: all four window types, one window each
     ]
     for seed, (image, window, offset, B, K) in enumerate(cases, start=40):
         rng = np.random.default_rng(seed)
@@ -400,61 +401,78 @@ def test_window_sgu_gradcheck_shifted_ragged_map():
     assert worst < 1e-4
 
 
+# The padded-on-all-sides grid, and a rolled one whose four window types are
+# one window each.
+GRADCHECK_GRIDS = [WindowGrid((6, 8), (2, 3), offset=(1, 1)),
+                   WindowGrid((6, 8), (3, 4), offset=(1, 2))]
+
+
 @pytest.mark.parametrize("case", ["no_rel_bias", "input_without_grad", "frozen_params",
                                   "frozen_weight_trainable_table"])
 def test_window_sgu_gradcheck_branches_shifted_ragged_map(case):
-    # each branch of the gating node's vjp, on the padded-on-all-sides grid above
-    rng = np.random.default_rng(15)
-    p = random_params(rng, (2, 3), heads=2, rel=case != "no_rel_bias")
-    x = Tensor(rng.standard_normal((2, 6, 8, 8)), requires_grad=case != "input_without_grad")
-    grid = WindowGrid((6, 8), (2, 3), offset=(1, 1))
-    r = Tensor(rng.standard_normal((2, 6, 8, 4)))
-    params = [t for t in (p.w_win, p.b_win, p.rel_table) if t is not None]
-    if case == "frozen_params":
-        for t in params:
-            t.requires_grad = False
-    if case == "frozen_weight_trainable_table":
-        p.w_win.requires_grad = False  # the node must still keep the gate half
-    wrt = [t for t in (x, *params) if t.requires_grad]
-    worst = check_gradients(lambda: (multi_head_window_sgu(x, p, grid) * r).sum(), wrt, tol=1e-4)
-    assert worst < 1e-4
-    assert all(t.grad is None for t in (x, *params) if not t.requires_grad)
+    # each branch of the gating node's vjp, on the zero-padding and the rolled path
+    for seed, grid in enumerate(GRADCHECK_GRIDS, start=15):
+        rng = np.random.default_rng(seed)
+        p = random_params(rng, grid.window, heads=2, rel=case != "no_rel_bias")
+        x = Tensor(rng.standard_normal((2, 6, 8, 8)), requires_grad=case != "input_without_grad")
+        r = Tensor(rng.standard_normal((2, 6, 8, 4)))
+        params = [t for t in (p.w_win, p.b_win, p.rel_table) if t is not None]
+        if case == "frozen_params":
+            for t in params:
+                t.requires_grad = False
+        if case == "frozen_weight_trainable_table":
+            p.w_win.requires_grad = False  # the node must still keep the gate half
+        wrt = [t for t in (x, *params) if t.requires_grad]
+        worst = check_gradients(lambda: (multi_head_window_sgu(x, p, grid) * r).sum(), wrt,
+                                tol=1e-4)
+        assert worst < 1e-4, grid
+        assert all(t.grad is None for t in (x, *params) if not t.requires_grad)
 
 
-def test_no_grad_window_sgu_holds_two_gate_halves_beside_its_output():
-    # The shifted 12x12 map pads to 16x16, so a padded gate half is 1.78 times
-    # the output. The head-major gate half is freed before the bias adds in
-    # place on the mixing GEMM's output; a third copy breaks the bound.
-    rng = np.random.default_rng(30)
-    grid = WindowGrid((12, 12), (4, 4), offset=(2, 2))
-    p = random_params(rng, (4, 4), heads=4)
-    x = Tensor(rng.standard_normal((2, 12, 12, 256)))
-    (nh, nw), (h, w) = grid.counts, grid.window
-    gate_half = 2 * nh * h * nw * w * 128 * x.data.itemsize
+def _no_grad_peak(grid, seed):
+    """Traced peak of one no-grad gating call on a (2, H, W, 256) map, and its output."""
+    rng = np.random.default_rng(seed)
+    p = random_params(rng, grid.window, heads=4)
+    x = Tensor(rng.standard_normal((2, *grid.image, 256)))
     tracemalloc.start()
     try:
         with no_grad():
             out = multi_head_window_sgu(x, p, grid)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1], out.data.nbytes
     finally:
         tracemalloc.stop()
-    assert peak <= out.data.nbytes + 2 * gate_half, (peak, gate_half)
+
+
+def test_no_grad_window_sgu_holds_two_gate_halves_beside_its_output():
+    # The shifted 12x12 map is three 4x4 windows a side, so it is mixed rolled
+    # and unpadded: a gate half is the output's size. Each window type's
+    # head-major gate half is freed before the bias adds in place on its
+    # mixing GEMM's output; a third copy breaks the bound.
+    peak, out = _no_grad_peak(WindowGrid((12, 12), (4, 4), offset=(2, 2)), 30)
+    assert peak <= out + 2 * out, (peak, out)
+    # The ragged 10x13 map is zero-padded to 12x16, so the bound counts padded
+    # gate halves.
+    grid = WindowGrid((10, 13), (4, 4), offset=(2, 2))
+    (nh, nw), (h, w) = grid.counts, grid.window
+    peak, out = _no_grad_peak(grid, 31)
+    padded = 2 * nh * h * nw * w * 128 * 8
+    assert peak <= out + 2 * padded, (peak, padded)
 
 
 def test_window_sgu_node_keeps_no_view_of_its_input():
-    rng = np.random.default_rng(16)
-    p = random_params(rng, (2, 3), heads=2)
-    grid = WindowGrid((6, 8), (2, 3), offset=(1, 1))
-    data = rng.standard_normal((2, 6, 8, 8))
-    r = Tensor(rng.standard_normal((2, 6, 8, 4)))
-    leaves = [Tensor(data, requires_grad=True) for _ in range(2)]
-    x = leaves[0] * 1.0  # a node output that nothing but ``x`` holds
-    out = multi_head_window_sgu(x, p, grid)
-    whole = weakref.ref(x.data)
-    del x
-    assert whole() is None
-    backward((out * r).sum())
-    backward((multi_head_window_sgu(leaves[1] * 1.0, p, grid) * r).sum())
-    assert np.array_equal(leaves[0].grad, leaves[1].grad)
-    with no_grad():
-        assert multi_head_window_sgu(Tensor(data), p, grid)._vjp is None
+    for seed, grid in enumerate(GRADCHECK_GRIDS, start=16):
+        rng = np.random.default_rng(seed)
+        p = random_params(rng, grid.window, heads=2)
+        data = rng.standard_normal((2, 6, 8, 8))
+        r = Tensor(rng.standard_normal((2, 6, 8, 4)))
+        leaves = [Tensor(data, requires_grad=True) for _ in range(2)]
+        x = leaves[0] * 1.0  # a node output that nothing but ``x`` holds
+        out = multi_head_window_sgu(x, p, grid)
+        whole = weakref.ref(x.data)
+        del x
+        assert whole() is None, grid
+        backward((out * r).sum())
+        backward((multi_head_window_sgu(leaves[1] * 1.0, p, grid) * r).sum())
+        assert np.array_equal(leaves[0].grad, leaves[1].grad)
+        with no_grad():
+            assert multi_head_window_sgu(Tensor(data), p, grid)._vjp is None

@@ -184,6 +184,47 @@ def test_crop_of_the_padded_map_is_a_view_of_the_map(image, window, offset):
     assert np.shares_memory(cropped, padded)
 
 
+@pytest.mark.parametrize("image, window, offset", [((14, 14), (7, 7), (3, 3)),
+                                                   ((6, 8), (3, 4), (1, 2)),
+                                                   ((7, 7), (7, 7), (3, 3)),
+                                                   ((8, 12), (4, 4), (0, 2)),
+                                                   ((8, 8), (4, 4), (0, 0)),
+                                                   ((9, 16), (7, 7), (3, 3)),
+                                                   ((6, 8), (2, 3), (1, 1))])
+def test_window_types_place_every_token_where_padding_does(image, window, offset):
+    # Every token sits in one window of one type, at the in-window position the
+    # zero-padded tiling gives it; a type's mask joins two positions exactly
+    # when their tokens share a padded window. A rolled grid pads nothing.
+    grid = WindowGrid(image, window, offset=offset)
+    (H, W), (h, w) = image, window
+    ids = np.arange(1, H * W + 1, dtype=np.float64).reshape(H, W)
+    padded = window_partition(ids.reshape(1, H, W, 1), grid)[0][0, ..., 0]
+    home = {v: ((i, j), (y, x)) for (i, y, j, x), v in np.ndenumerate(padded) if v}
+    assert grid.rolled == (H % h == 0 and W % w == 0)
+    seen = []
+    for t in grid.types:
+        (nr, nc) = t.counts
+        batch = np.zeros((nr, nc, h, w))
+        for rows, cols in t.pieces:
+            lr, lc = rows.pos.stop - rows.pos.start, cols.pos.stop - cols.pos.start
+            batch[rows.win, cols.win, rows.pos, cols.pos] = (
+                ids[rows.src, cols.src].reshape(-1, lr, cols.win.stop - cols.win.start, lc)
+                .transpose(0, 2, 1, 3))
+        assert not grid.rolled or (batch != 0).all()
+        for win in batch.reshape(nr * nc, h * w):
+            real = win != 0
+            for p in np.flatnonzero(real):
+                assert home[win[p]][1] == divmod(p, w)
+            same = np.array([[home[a][0] == home[b][0] for b in win[real]] for a in win[real]])
+            assert np.array_equal(t.mask[np.ix_(real, real)], same)
+            seen += list(win[real])
+    assert sorted(seen) == list(ids.reshape(-1))
+    if grid.rolled:
+        assert sum(a * b for a, b in (t.counts for t in grid.types)) == (H // h) * (W // w)
+    else:
+        assert len(grid.types) == 1 and grid.types[0].counts == grid.counts
+
+
 def test_windows_does_not_import_the_engine():
     # the package imports the engine itself, so read the module's own imports
     tree = ast.parse(inspect.getsource(windows))

@@ -14,11 +14,15 @@ The object holds, in order:
 - ``step.<model>.*``: the loss, the graph node count, every gradient and each
   block's ``effective_mixing_weight`` of one training step (perturbed gates,
   drop-path 0.1) of the smoke model, a ragged 64 px model without the
-  relative-offset table, and ``gswin-vt`` at 224 px;
+  relative-offset table, and ``gswin-vt`` at 224 px, so that the gating vjp
+  runs on rolled and on zero-padded grids;
 - ``eval.<model>.logits``: one no-grad forward of one image (perturbed gates)
   through the smoke model, the ragged 64 px model and ``gswin-t`` at 224 px.
-  The first two run the non-recording gating unit on padded ragged grids and
-  GELU on maps smaller than one of its blocks, the third on many blocks;
+  The smoke model and ``gswin-t`` run the non-recording gating unit on rolled
+  grids only (every map is a whole number of windows), the ragged model on
+  zero-padded grids in its first three stages and a rolled one in its last.
+  The first two run GELU on maps smaller than one of its blocks, the third on
+  many blocks;
 - ``checkpoint.<model>``: the bytes of a saved seed-0 checkpoint;
 - ``count_params.*`` per module and ``count_flops.*`` of each preset at 160,
   224 and 256 px under both strategies.
