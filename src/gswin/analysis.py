@@ -10,9 +10,10 @@ product touches every gate channel exactly once regardless of grouping).
 
 Both strategies read a layer's geometry from its
 :class:`~gswin.windows.WindowGrid`. "padding-free" charges each window its
-true token count (the paper's count); "zero-padding" charges every window of
-the padded grid in full, which is the arithmetic the model executes on a map
-that is not a whole number of windows. A map that is, as every map of the
+true token count (the paper's count, from ``bands``); "zero-padding" charges
+every window of the tiling zero-padded to whole windows (``counts``) in full,
+which is the arithmetic the model executes on a map that is not a whole
+number of windows. A map that is, as every map of the
 presets at 224 px is, runs rolled as H*W/(h*w) whole windows, shifted or
 not: its mixing work is the unshifted layer's, which for a shifted layer
 lies between the two counts.
@@ -90,7 +91,7 @@ def enumerate_params(model: GswinModel) -> dict[str, int]:
 def _sgu_window_sums(grid: WindowGrid, strategy: str) -> tuple[int, int]:
     """(sum of squared window token counts, sum of window token counts).
 
-    With zero-padding every window of the padded grid holds h * w tokens.
+    With zero-padding each of the grid's ``counts`` windows holds h * w tokens.
     Without padding a window holds e_r * e_c tokens for its row and column
     bands, so the squared sum factors per axis and the token sum is H * W.
     """

@@ -68,10 +68,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _default_seed(fallback: int = 0) -> int:
+def _default_seed() -> int:
     raw = os.environ.get("GSWIN_SEED")
     if raw is None:
-        return fallback
+        return 0
     try:
         return int(raw)
     except ValueError:

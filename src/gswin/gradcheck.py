@@ -1,8 +1,9 @@
 """Finite-difference verification of analytic gradients.
 
-Central differences with step 1e-6 in float64 resolve gradients to roughly
-1e-10 relative accuracy, far below the tolerances asserted by callers
-(1e-5 for individual operations, 1e-4 for whole-model losses).
+Central differences with step 1e-6 in float64 are bound by the roundoff of
+the loss, not by truncation: an entry whose gradient comes out of
+cancellation can differ from the analytic one by about 1e-5 relative, the
+tolerance for individual operations (1e-4 for whole-model losses).
 """
 from __future__ import annotations
 
@@ -75,11 +76,11 @@ def check_gradients(
     return worst
 
 
-def op_gradcheck_suite(seed: int = 0, tol: float = 1e-5) -> list[tuple[str, float]]:
+def op_gradcheck_suite(seed: int = 0) -> list[tuple[str, float]]:
     """Finite-difference check of every op that records a graph node.
 
     Returns ``(op name, worst relative error)`` per op; raises AssertionError
-    at the first op whose error reaches ``tol``.
+    at the first op whose error reaches :func:`check_gradients`' default 1e-5.
     """
     rng = np.random.default_rng(seed)
 
@@ -108,6 +109,7 @@ def op_gradcheck_suite(seed: int = 0, tol: float = 1e-5) -> list[tuple[str, floa
                         for t in (x, g.w_win, g.b_win, g.rel_table))
     fold_x = leaf(2, 4, 6, 3)
     fold_r = Tensor(rng.standard_normal((2, 2, 3, 12)))
+    ln_r = Tensor(rng.standard_normal(ln_x.shape))
 
     cases: list[tuple[str, Callable[[], Tensor], tuple[Tensor, ...]]] = [
         ("add", lambda: ((a + row) * b).sum(), (a, row, b)),
@@ -116,15 +118,11 @@ def op_gradcheck_suite(seed: int = 0, tol: float = 1e-5) -> list[tuple[str, floa
         ("sum", lambda: (a.sum(axis=0) * row).sum(), (a, row)),
         ("space_to_depth", lambda: (space_to_depth(fold_x, 2) * fold_r).sum(), (fold_x,)),
         ("gelu", lambda: T.gelu(a).sum(), (a,)),
-        ("layer_norm", lambda: (T.layer_norm(ln_x, gamma, beta) * 0.2).sum(), (ln_x, gamma, beta)),
+        ("layer_norm", lambda: (T.layer_norm(ln_x, gamma, beta) * ln_r).sum(), (ln_x, gamma, beta)),
         ("cross_entropy", lambda: cross_entropy(a, labels, smoothing=0.1), (a,)),
         ("multi_head_window_sgu", lambda: sum(
             ((multi_head_window_sgu(x, g, grid) * r).sum()
              for x, g, grid, r in zip(gate_xs, gates, gate_grids, gate_rs)), Tensor(0.0)),
          gate_inputs),
     ]
-    results = []
-    for name, f, inputs in cases:
-        err = check_gradients(f, inputs, tol=tol)
-        results.append((name, err))
-    return results
+    return [(name, check_gradients(f, inputs)) for name, f, inputs in cases]

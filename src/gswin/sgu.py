@@ -6,17 +6,15 @@ and multiplies: Y = Z1 * (W Z2 + b). :func:`multi_head_window_sgu` applies
 this rule in each window of a :class:`~gswin.windows.WindowGrid`.
 
 Each layer mixes the window types of its grid with one matmul per type,
-batched over the heads. It gathers each type's gate half straight from
-slices of the map and writes the result back through the same slices. A map
-that is a whole number of windows is mixed rolled by ``-offset`` (Swin's
-cyclic shift): the interior windows with the full weight, and the wrapped
-last row, last column and corner with the weight zeroed between tokens of
-different bands. Any other map is mixed as one batch of windows zero-padded
-to whole windows (the ``zero-padding`` strategy of :mod:`gswin.analysis`).
-Either way every token keeps its in-window position and mixes only with the
-real tokens of its own window, so the result equals slicing the weights for
-each partial window (the ``padding-free`` strategy, which the paper counts
-as cheaper).
+batched over the heads. It takes one type's gate half at a time from the map
+with :func:`~gswin.windows.gather`, mixes it, and writes the result back with
+:func:`~gswin.windows.scatter`. The wrapped windows of a rolled grid mix with
+the weight zeroed between tokens of different bands; a map that is not a
+whole number of windows is mixed zero-padded to whole windows (the
+``zero-padding`` strategy of :mod:`gswin.analysis`). Either way every token
+keeps its in-window position and mixes only with the real tokens of its own
+window, so the result equals slicing the weights for each partial window
+(the ``padding-free`` strategy, which the paper counts as cheaper).
 
 A gating layer records one graph node, over the input, ``w_win``, ``b_win``
 and the relative-offset table, with an analytic vjp. The forward builds the
@@ -34,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import Parameter, Tensor
-from .windows import Piece, WindowGrid, WindowType
+from .windows import WindowGrid, gather, scatter
 # Not called here; the benchmark's probe (perfbench/probe.py) wraps these names.
 from .windows import window_partition, window_reverse  # noqa: F401
 
@@ -107,36 +105,6 @@ def init_sgu_params(window: tuple[int, int], heads: int, rel_bias: bool = True,
                      if rel_bias else None)
 
 
-def _windowed(a: np.ndarray, rows: Piece, cols: Piece, heads: int) -> np.ndarray:
-    """The tokens of a (B, H, W, C) map that two pieces name, as a
-    (K, h', w', B, n_r, n_c, ch) view laid out like :func:`_gather`'s batch."""
-    B, C = a.shape[0], a.shape[-1]
-    nr, hp = rows.win.stop - rows.win.start, rows.pos.stop - rows.pos.start
-    nc, wp = cols.win.stop - cols.win.start, cols.pos.stop - cols.pos.start
-    return (a[:, rows.src, cols.src].reshape(B, nr, hp, nc, wp, heads, C // heads)
-            .transpose(5, 2, 4, 0, 1, 3, 6))
-
-
-def _gather(a: np.ndarray, wtype: WindowType, grid: WindowGrid, heads: int) -> np.ndarray:
-    """One window type's tokens of a (B, H, W, C) map as a (K, T, windows*ch)
-    batch in one copy, so each of the K heads mixes them with one GEMM; the
-    padding of a grid that is not rolled is zero."""
-    (nr, nc), (h, w) = wtype.counts, grid.window
-    out = (np.empty if grid.rolled else np.zeros)(
-        (heads, h, w, a.shape[0], nr, nc, a.shape[-1] // heads))
-    for rows, cols in wtype.pieces:
-        out[:, rows.pos, cols.pos, :, rows.win, cols.win] = _windowed(a, rows, cols, heads)
-    return out.reshape(heads, h * w, -1)
-
-
-def _scatter(batch: np.ndarray, wtype: WindowType, grid: WindowGrid, out: np.ndarray) -> None:
-    """Inverse of :func:`_gather`: write the batch back onto its tokens of ``out``."""
-    (nr, nc), (h, w), K = wtype.counts, grid.window, batch.shape[0]
-    batch = batch.reshape(K, h, w, out.shape[0], nr, nc, -1)
-    for rows, cols in wtype.pieces:
-        _windowed(out, rows, cols, K)[...] = batch[:, rows.pos, cols.pos, :, rows.win, cols.win]
-
-
 def effective_weight(params: SguParams, window: tuple[int, int]) -> np.ndarray:
     """Learned mixing weight plus the materialized relative-offset bias; raises
     ``ValueError`` unless every array of ``params`` fits ``window`` and K heads."""
@@ -174,7 +142,7 @@ def multi_head_window_sgu(x: Tensor, params: SguParams, grid: WindowGrid) -> Ten
     bias = b_win.data.T.reshape(K, -1, 1)
     m, zhs = None, []
     for wtype, wt_t in zip(grid.types, wts):
-        zh = _gather(x.data[..., C:], wtype, grid, K)
+        zh = gather(x.data[..., C:], wtype, grid, K)
         # A non-recording wrap keeps the mixing GEMM visible to a tracer patching ``Tensor``.
         mixed = (Tensor(wt_t) @ Tensor(zh)).data
         if record:
@@ -183,7 +151,7 @@ def multi_head_window_sgu(x: Tensor, params: SguParams, grid: WindowGrid) -> Ten
         mixed += bias
         if m is None:  # allocated only once the first gate-half copy is freed
             m = np.empty((B, H, W, C))
-        _scatter(mixed, wtype, grid, m)
+        scatter(mixed, wtype, grid, m)
         del mixed
     z1 = x.data[..., :C]
     if not record:
@@ -197,12 +165,12 @@ def multi_head_window_sgu(x: Tensor, params: SguParams, grid: WindowGrid) -> Ten
         np.multiply(g, m, out=dx[..., :C])
         dw = db = None
         for wtype, wt_t, zh in zip(grid.types, wts, zhs):
-            dmh = _gather(dm, wtype, grid, K)
+            dmh = gather(dm, wtype, grid, K)
             dw_t = np.matmul(dmh, np.swapaxes(zh, -1, -2))
             dw_t[:, ~wtype.mask] = 0.0
             db_t = dmh.sum(axis=2)
             dw, db = (dw_t, db_t) if dw is None else (dw + dw_t, db + db_t)
-            _scatter(np.matmul(np.swapaxes(wt_t, -1, -2), dmh), wtype, grid, dx[..., C:])
+            scatter(np.matmul(np.swapaxes(wt_t, -1, -2), dmh), wtype, grid, dx[..., C:])
         dw = dw.transpose(1, 2, 0)
         dtable = None
         if table is not None:

@@ -1,12 +1,14 @@
-"""Window tiling geometry.
+"""Window tiling geometry, and the one window layout the gating unit runs.
 
-:class:`WindowGrid` is the one description of a layer's tiling: its pad
-widths, window counts and band extents, the crop back from the padded map,
-and the window types the gating unit mixes. A grid whose map extents are
-whole multiples of its window is mixed on the map rolled by ``-offset``
-(Swin's cyclic shift): no window is padded, and the windows that wrap round
-the map's edge mix only tokens of their own band. Any other grid is mixed
-zero-padded to whole windows. The window helpers work on numpy arrays.
+:class:`WindowGrid` is the one description of a layer's tiling: its window
+counts and band extents, and the window types the gating unit mixes. A grid
+whose map extents are whole multiples of its window is mixed on the map
+rolled by ``-offset`` (Swin's cyclic shift): no window is padded, and the
+windows that wrap round the map's edge mix only tokens of their own band.
+Any other grid is mixed zero-padded to whole windows. :func:`gather` and
+:func:`scatter` move one window type's tokens between a map and its batch;
+:func:`window_partition` and :func:`window_reverse` do so for every type of
+a grid. All of them work on numpy arrays.
 """
 from __future__ import annotations
 
@@ -43,16 +45,23 @@ class WindowType(NamedTuple):
     mask: np.ndarray
 
 
-def _axis_groups(extent: int, window: int, origin: int,
-                 roll: bool) -> list[tuple[int, tuple[Piece, ...], int]]:
-    """Along one axis, (window count, pieces, band split) of each window group.
+def _axis(extent: int, window: int, origin: int) -> tuple[int, tuple[int, ...], tuple]:
+    """One axis of a tiling: its zero-padded window count, its band extents,
+    and its window groups, zero-padded and rolled.
 
-    Padded, one group covers the axis: the leading partial band sits at the
-    end of window 0 and the trailing one at the start of the last window.
-    Rolled, the whole windows form one group and the two partial bands share
-    one wrapped window, split between them at the same positions. A split of
-    0 leaves the window one band.
+    Raises ``ValueError`` unless the window fits the axis and the origin lies
+    in it. A group is (window count, pieces, band split). Zero-padded, one
+    group covers the axis: the leading partial band sits at the end of window
+    0 and the trailing one at the start of the last window. Rolled, which
+    holds only when the extent is a whole number of windows, the whole
+    windows form one group and the two partial bands share one wrapped
+    window, split between them at the same positions. A split of 0 leaves the
+    window one band.
     """
+    if not 1 <= window <= extent:
+        raise ValueError(f"window {window} does not fit axis extent {extent}")
+    if not 0 <= origin < window:
+        raise ValueError(f"origin {origin} outside [0, {window})")
     lead = (window - origin) % window
     full, tail = divmod(extent - origin, window)
     first = 1 if origin else 0
@@ -60,13 +69,13 @@ def _axis_groups(extent: int, window: int, origin: int,
     body = Piece(slice(first, first + full), slice(0, window),
                  slice(origin, origin + full * window))
     end = Piece(slice(first + full, first + full + 1), slice(0, tail), slice(extent - tail, extent))
-    if not roll:
-        pieces = (head,) * bool(origin) + (body,) * bool(full) + (end,) * bool(tail)
-        return [(first + full + bool(tail), pieces, 0)]
-    groups = [(full, (body._replace(win=slice(0, full)),), 0)] if full else []
-    if origin:  # tail == lead: the two partial bands fill one window
-        groups.append((1, (end._replace(win=slice(0, 1)), head), lead))
-    return groups
+    count = first + full + bool(tail)
+    padded = (head,) * bool(origin) + (body,) * bool(full) + (end,) * bool(tail)
+    rolled = [(full, (body._replace(win=slice(0, full)),), 0)] * bool(full)
+    if origin:  # when rolled, tail == lead: the two partial bands fill one window
+        rolled.append((1, (end._replace(win=slice(0, 1)), head), lead))
+    bands = tuple(e for e in (origin, *[window] * full, tail) if e)
+    return count, bands, ([(count, padded, 0)], rolled)
 
 
 def _band_mask(window: tuple[int, int], splits: tuple[int, int]) -> np.ndarray:
@@ -77,13 +86,6 @@ def _band_mask(window: tuple[int, int], splits: tuple[int, int]) -> np.ndarray:
     return (same[0][:, None, :, None] & same[1][None, :, None, :]).reshape(T, T)
 
 
-def _check_axis(extent: int, window: int, origin: int) -> None:
-    if window < 1 or window > extent:
-        raise ValueError(f"window {window} does not fit axis extent {extent}")
-    if not 0 <= origin < window:
-        raise ValueError(f"origin {origin} outside [0, {window})")
-
-
 def shift_offset(window: tuple[int, int], shifted: bool) -> tuple[int, int]:
     """Origin of a layer's tiling: half a window along each axis when shifted."""
     return (window[0] // 2, window[1] // 2) if shifted else (0, 0)
@@ -92,25 +94,23 @@ def shift_offset(window: tuple[int, int], shifted: bool) -> tuple[int, int]:
 class WindowGrid:
     """Uniform tiling of an H x W map by h x w windows.
 
-    The first whole window starts at ``offset`` (oy, ox). Zero-padded, the
-    map gets ``(h - oy) % h`` rows on top and ``(w - ox) % w`` columns on the
-    left, so that a leading partial band becomes a whole window, and on the
-    bottom and right up to a whole window.
+    The first whole window starts at ``offset`` (oy, ox), so along each axis
+    a nonzero origin leaves a leading partial band before it.
 
-    pads:   (top, bottom, left, right) zero bands.
-    counts: (n_h, n_w) windows of the padded map.
+    counts: (n_h, n_w) windows of the tiling zero-padded to whole windows,
+            the arithmetic the ``zero-padding`` cost strategy charges.
     bands:  per axis, the token extents of the bands the tiling cuts the
-            unpadded axis into: a leading partial band when the origin is
-            nonzero, the whole windows, and a trailing remainder.
+            axis into: a leading partial band when the origin is nonzero,
+            the whole windows, and a trailing remainder.
     rolled: H and W are whole multiples of h and w, so the windows tile the
             map rolled by ``-offset`` with no padding. Each token keeps the
-            in-window position that padding gives it; the last row and
-            column of windows wrap round the map's edge.
+            in-window position that zero padding would give it; the last row
+            and column of windows wrap round the map's edge.
     types:  the :class:`WindowType` batches the gating unit mixes. Rolled:
             the interior windows, the wrapped last row, the wrapped last
             column and the corner, each present when it holds a window, the
             wrapped ones masked to their bands. Otherwise: one batch of
-            every padded window.
+            every window zero-padded to whole windows.
     """
 
     def __init__(self, image: tuple[int, int], window: tuple[int, int],
@@ -118,58 +118,70 @@ class WindowGrid:
         self.image = (int(image[0]), int(image[1]))
         self.window = (int(window[0]), int(window[1]))
         self.offset = (int(offset[0]), int(offset[1]))
-        pads, counts, bands = [], [], []
-        for extent, win, origin in zip(self.image, self.window, self.offset):
-            _check_axis(extent, win, origin)
-            lead = (win - origin) % win
-            trail = -(lead + extent) % win
-            pads += [lead, trail]
-            counts.append((lead + extent + trail) // win)
-            full, tail = divmod(extent - origin, win)
-            bands.append(tuple(e for e in (origin, *[win] * full, tail) if e))
-        self.pads = tuple(pads)
-        self.counts = tuple(counts)
-        self.bands = tuple(bands)
+        self.counts, self.bands, groups = zip(
+            *(_axis(*axis) for axis in zip(self.image, self.window, self.offset)))
         self.rolled = all(e % win == 0 for e, win in zip(self.image, self.window))
-        rows, cols = (_axis_groups(e, win, o, self.rolled)
-                      for e, win, o in zip(self.image, self.window, self.offset))
         self.types = tuple(
             WindowType((nr, nc), tuple(product(pr, pc)), _band_mask(self.window, (sr, sc)))
-            for (nr, pr, sr), (nc, pc, sc) in product(rows, cols))
-
-    def crop(self, a: np.ndarray) -> np.ndarray:
-        """The view of a padded (B, H_pad, W_pad, ...) map that holds the unpadded one."""
-        (H, W), top, left = self.image, self.pads[0], self.pads[2]
-        return a[:, top:top + H, left:left + W]
+            for (nr, pr, sr), (nc, pc, sc) in product(*(g[self.rolled] for g in groups)))
 
     def __repr__(self) -> str:
-        return (f"WindowGrid(image={self.image}, window={self.window}, "
-                f"offset={self.offset}, pads={self.pads})")
+        return f"WindowGrid(image={self.image}, window={self.window}, offset={self.offset})"
+
+
+def _windowed(a: np.ndarray, rows: Piece, cols: Piece, heads: int) -> np.ndarray:
+    """The tokens of a (B, H, W, C) map that two pieces name, as a
+    (K, h', w', B, n_r, n_c, ch) view laid out like :func:`gather`'s batch."""
+    B, C = a.shape[0], a.shape[-1]
+    nr, hp = rows.win.stop - rows.win.start, rows.pos.stop - rows.pos.start
+    nc, wp = cols.win.stop - cols.win.start, cols.pos.stop - cols.pos.start
+    return (a[:, rows.src, cols.src].reshape(B, nr, hp, nc, wp, heads, C // heads)
+            .transpose(5, 2, 4, 0, 1, 3, 6))
+
+
+def gather(a: np.ndarray, wtype: WindowType, grid: WindowGrid, heads: int) -> np.ndarray:
+    """One window type's tokens of a (B, H, W, C) map as a (K, T, windows*ch)
+    batch in one copy, so each of the K heads mixes them with one GEMM; the
+    padding of a grid that is not rolled is zero."""
+    (nr, nc), (h, w) = wtype.counts, grid.window
+    out = (np.empty if grid.rolled else np.zeros)(
+        (heads, h, w, a.shape[0], nr, nc, a.shape[-1] // heads), a.dtype)
+    for rows, cols in wtype.pieces:
+        out[:, rows.pos, cols.pos, :, rows.win, cols.win] = _windowed(a, rows, cols, heads)
+    return out.reshape(heads, h * w, -1)
+
+
+def scatter(batch: np.ndarray, wtype: WindowType, grid: WindowGrid, out: np.ndarray) -> None:
+    """Inverse of :func:`gather`: write the batch back onto its tokens of ``out``."""
+    (nr, nc), (h, w), K = wtype.counts, grid.window, batch.shape[0]
+    batch = batch.reshape(K, h, w, out.shape[0], nr, nc, -1)
+    for rows, cols in wtype.pieces:
+        _windowed(out, rows, cols, K)[...] = batch[:, rows.pos, cols.pos, :, rows.win, cols.win]
 
 
 def window_partition(x: np.ndarray, grid: WindowGrid) -> list[np.ndarray]:
-    """Pad (B, H, W, C) to whole windows and view it as one window batch.
+    """Every window of a (B, H, W, C) map, one batch per entry of ``grid.types``.
 
-    Returns a one-element list holding the (B, n_h, h, n_w, w, C) view of
-    the padded map; window (i, j) is ``[:, i, :, j, :, :]``. An unpadded
-    grid returns a view of ``x`` itself.
+    Batch t is (h*w, B, n_r, n_c, C) for type t's counts (n_r, n_c): token p
+    of window (i, j) of image b is ``[p, b, i, j]``; a grid that is not rolled
+    pads with zeros. Reshaped to (h*w, -1) it is :func:`gather`'s one-head batch.
     """
     B, H, W, C = x.shape
     if (H, W) != grid.image:
         raise ValueError(f"grid built for {grid.image}, input map is {(H, W)}")
-    top, bottom, left, right = grid.pads
-    if any(grid.pads):
-        x = np.pad(x, ((0, 0), (top, bottom), (left, right), (0, 0)))
-    (nh, nw), (h, w) = grid.counts, grid.window
-    return [x.reshape(B, nh, h, nw, w, C)]
+    T = grid.window[0] * grid.window[1]
+    return [gather(x, t, grid, 1).reshape(T, B, *t.counts, C) for t in grid.types]
 
 
 def window_reverse(batches: list[np.ndarray], grid: WindowGrid) -> np.ndarray:
-    """Inverse of :func:`window_partition` for the same grid: un-window and crop."""
-    if len(batches) != 1:
-        raise ValueError(f"expected one window batch, got {len(batches)}")
-    (wins,) = batches
-    (nh, nw), (h, w) = grid.counts, grid.window
-    if wins.ndim != 6 or wins.shape[1:5] != (nh, h, nw, w):
-        raise ValueError(f"batch shape {wins.shape} does not match grid {grid}")
-    return grid.crop(wins.reshape(wins.shape[0], nh * h, nw * w, wins.shape[5]))
+    """Inverse of :func:`window_partition` for the same grid."""
+    if len(batches) != len(grid.types):
+        raise ValueError(f"expected one window batch per window type, got {len(batches)}")
+    T, shape = grid.window[0] * grid.window[1], batches[0].shape
+    B, C = (shape[1], shape[4]) if len(shape) == 5 else (0, 0)  # then the check below fails
+    out = np.empty((B, *grid.image, C), batches[0].dtype)
+    for batch, t in zip(batches, grid.types):
+        if batch.shape != (T, B, *t.counts, C):
+            raise ValueError(f"batch shape {batch.shape} does not match grid {grid}")
+        scatter(batch[None], t, grid, out)
+    return out

@@ -18,7 +18,7 @@ from gswin.analysis import (
     weight_tile_grid,
 )
 from gswin.model import GswinModel, ModelConfig, PRESETS
-from gswin.windows import WindowGrid, window_partition
+from gswin.windows import WindowGrid
 
 PARAM_TARGETS = {"gswin-vt": 16e6, "gswin-t": 22e6, "gswin-s": 40e6}
 FLOP_TARGETS = [
@@ -148,10 +148,11 @@ def test_zero_padding_counts_the_windows_the_model_builds(depths):
     cfg = small_cfg(depths=depths, window=(7, 7), image_size=64)
     extra = 0
     for blk in (b for blocks in GswinModel(cfg).stages for b in blocks):
-        grid = blk.grid
-        ones = np.ones((1, *grid.image, 1))
-        real = window_partition(ones, grid)[0].sum(axis=(2, 4, 5)).ravel()
-        T = grid.window[0] * grid.window[1]
+        (H, W), (h, w), (oy, ox) = blk.grid.image, blk.grid.window, blk.grid.offset
+        top, left = (h - oy) % h, (w - ox) % w  # the oracle's pad rule
+        ones = np.pad(np.ones((H, W)), ((top, -(top + H) % h), (left, -(left + W) % w)))
+        real = ones.reshape(ones.shape[0] // h, h, ones.shape[1] // w, w).sum(axis=(1, 3)).ravel()
+        T = h * w
         mixing = real.size * T * T - (real ** 2).sum()
         extra += blk.w_out.shape[0] * (mixing + 2 * (real.size * T - real.sum()))
     free = count_flops(cfg, 64, "padding-free").flops

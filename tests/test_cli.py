@@ -153,7 +153,7 @@ def test_gradcheck_block_scope(capsys):
 def test_gradcheck_failure_exits_three(monkeypatch, capsys):
     import gswin.cli as cli
 
-    def boom(seed=0, tol=1e-5):
+    def boom(seed=0):
         raise AssertionError("synthetic mismatch")
 
     monkeypatch.setattr(cli, "op_gradcheck_suite", boom)

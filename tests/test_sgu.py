@@ -391,7 +391,7 @@ def test_window_sgu_gradcheck_shifted_ragged_map():
     p = random_params(rng, (2, 3), heads=2)
     x = Tensor(rng.standard_normal((2, 6, 8, 8)), requires_grad=True)
     grid = WindowGrid((6, 8), (2, 3), offset=(1, 1))
-    assert grid.pads == (1, 1, 2, 2)
+    assert grid.bands == ((1, 2, 2, 1), (1, 3, 3, 1))
     r = Tensor(rng.standard_normal((2, 6, 8, 4)))
     worst = check_gradients(
         lambda: (multi_head_window_sgu(x, p, grid) * r).sum(),

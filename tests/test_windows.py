@@ -1,9 +1,11 @@
-"""Grid geometry: band decompositions, padded tilings, partition round-trips."""
+"""Grid geometry: band decompositions, window types, partition round-trips."""
 import ast
 import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gswin import windows
 from gswin.windows import WindowGrid, shift_offset, window_partition, window_reverse
@@ -48,36 +50,39 @@ def test_shift_offset_half_window():
     assert shift_offset((7, 7), False) == (0, 0)
 
 
-def test_pad_widths_make_whole_windows():
-    assert WindowGrid((14, 14), (7, 7), (0, 0)).pads == (0, 0, 0, 0)
-    assert WindowGrid((14, 14), (7, 7), (3, 3)).pads == (4, 3, 4, 3)
-    assert WindowGrid((9, 16), (7, 7), (0, 3)).pads == (0, 5, 4, 1)
-    assert WindowGrid((5, 5), (1, 1), (0, 0)).pads == (0, 0, 0, 0)
+def _zero_padded(ids, grid):
+    """(n_h, h, n_w, w) windows of a 2-D map zero-padded by the oracle's rule."""
+    (H, W), (h, w), (oy, ox) = grid.image, grid.window, grid.offset
+    top, left = (h - oy) % h, (w - ox) % w
+    padded = np.pad(ids, ((top, -(top + H) % h), (left, -(left + W) % w)))
+    return padded.reshape(padded.shape[0] // h, h, padded.shape[1] // w, w)
 
 
 def _real_windows(grid):
-    """(extent, first index) of the unpadded tokens in each padded window."""
-    H, W = grid.image
-    ones = window_partition(np.ones((1, H, W, 1)), grid)[0][0, ..., 0]
+    """(extent, first in-window position) of the tokens of each band pair,
+    in map order, read from the grid's window batches and masks."""
+    (H, W), (h, w) = grid.image, grid.window
+    ids = np.arange(1, H * W + 1, dtype=np.float64).reshape(1, H, W, 1)
     out = []
-    for i in range(grid.counts[0]):
-        for j in range(grid.counts[1]):
-            rows = np.flatnonzero(ones[i, :, j, :].any(axis=1))
-            cols = np.flatnonzero(ones[i, :, j, :].any(axis=0))
-            out.append(((len(rows), len(cols)), (rows[0], cols[0])))
-    return out
+    for t, batch in zip(grid.types, window_partition(ids, grid)):
+        for win in batch.reshape(h * w, -1).T:
+            bands = {tuple(np.flatnonzero(t.mask[p] & (win != 0))) for p in np.flatnonzero(win)}
+            for band in bands:
+                rows, cols = np.divmod(band, w)
+                out.append((win[band[0]], (len(set(rows)), len(set(cols))), (rows[0], cols[0])))
+    return [(shape, start) for _, shape, start in sorted(out)]
 
 
 def test_grid_unshifted_single_group():
     grid = WindowGrid((14, 14), (7, 7))
-    assert grid.pads == (0, 0, 0, 0)
     assert grid.counts == (2, 2)
     assert grid.bands == ((7, 7), (7, 7))
 
 
 def test_grid_shifted_windows_hold_the_partial_bands():
-    # the padded windows hold exactly the padding-free windows: extents, and
-    # where their real tokens start inside the window (the weight offsets)
+    # the windows' bands are exactly the padding-free windows: extents, and
+    # where their tokens start inside the window (the weight offsets), which
+    # is where zero padding puts them
     grid = WindowGrid((14, 14), (7, 7), offset=(3, 3))
     assert grid.counts == (3, 3)
     assert grid.bands == ((3, 7, 4), (3, 7, 4))
@@ -100,12 +105,13 @@ def test_grid_single_window_shifted_corners_only():
 
 
 def test_grid_groups_tile_exactly():
-    # every map position lands in exactly one padded window
+    # every map position lands in exactly one window of one type
     for image, offset in [((14, 14), (3, 3)), ((21, 28), (3, 3)), ((10, 12), (0, 0)),
                           ((9, 16), (3, 3))]:
         grid = WindowGrid(image, (7, 7), offset=offset)
         ids = np.arange(1, image[0] * image[1] + 1, dtype=np.float64)
-        wins = window_partition(ids.reshape(1, *image, 1), grid)[0]
+        batches = window_partition(ids.reshape(1, *image, 1), grid)
+        wins = np.concatenate([b.ravel() for b in batches])
         seen = np.sort(wins[wins != 0])
         assert np.array_equal(seen, ids), (image, offset)
 
@@ -120,16 +126,15 @@ def test_grid_rejects_bad_geometry():
 def test_partition_unshifted_counts():
     x = np.arange(2 * 14 * 14 * 3, dtype=np.float64).reshape(2, 14, 14, 3)
     batches = window_partition(x, WindowGrid((14, 14), (7, 7)))
-    assert len(batches) == 1
-    assert batches[0].shape == (2, 2, 7, 2, 7, 3)
+    assert [b.shape for b in batches] == [(49, 2, 2, 2, 3)]
 
 
 def test_partition_shifted_is_one_padded_batch():
-    # one batch: the 14x14 map padded to 3x3 whole windows
-    x = np.zeros((1, 14, 14, 2))
-    batches = window_partition(x, WindowGrid((14, 14), (7, 7), offset=(3, 3)))
-    assert len(batches) == 1
-    assert batches[0].shape == (1, 3, 7, 3, 7, 2)
+    # a shifted map that is not a whole number of windows is one window type:
+    # the 9x16 map zero-padded to 2x3 whole windows
+    x = np.zeros((1, 9, 16, 2))
+    batches = window_partition(x, WindowGrid((9, 16), (7, 7), offset=(0, 3)))
+    assert [b.shape for b in batches] == [(49, 1, 2, 3, 2)]
 
 
 def test_partition_reverse_round_trip():
@@ -148,8 +153,8 @@ def test_partition_rejects_mismatched_image():
 
 
 @pytest.mark.parametrize("batches, match", [
-    ([np.zeros((1, 2, 7, 2, 7, 3))] * 2, "expected one window batch, got 2"),
-    ([np.zeros((1, 2, 7, 3, 7, 3))], "does not match grid"),
+    ([np.zeros((49, 1, 2, 2, 3))] * 2, "expected one window batch per window type, got 2"),
+    ([np.zeros((49, 1, 2, 3, 3))], "does not match grid"),
     ([np.zeros((1, 14, 14, 3))], "does not match grid"),
 ])
 def test_reverse_rejects_batches_the_grid_did_not_make(batches, match):
@@ -161,27 +166,8 @@ def test_partition_windows_carry_correct_tokens():
     # second full window along cols of an unshifted grid holds cols 7..13
     x = np.arange(14 * 14, dtype=np.float64).reshape(1, 14, 14, 1)
     grid = WindowGrid((14, 14), (7, 7))
-    wins = window_partition(x, grid)[0]
-    assert (wins[0, 0, :, 1, :, 0] == x[0, 0:7, 7:14, 0]).all()
-
-
-def test_partition_of_an_unpadded_grid_is_a_view():
-    x = np.arange(2 * 14 * 14 * 3, dtype=np.float64).reshape(2, 14, 14, 3)
-    (wins,) = window_partition(x, WindowGrid((14, 14), (7, 7)))
-    assert np.shares_memory(wins, x)
-
-
-@pytest.mark.parametrize("image, window, offset", [((14, 14), (7, 7), (3, 3)),
-                                                   ((9, 16), (7, 7), (0, 3)),
-                                                   ((9, 11), (4, 3), (2, 1))])
-def test_crop_of_the_padded_map_is_a_view_of_the_map(image, window, offset):
-    grid = WindowGrid(image, window, offset=offset)
-    x = np.random.default_rng(3).standard_normal((2, *image, 5))
-    top, bottom, left, right = grid.pads
-    padded = np.pad(x, ((0, 0), (top, bottom), (left, right), (0, 0)))
-    cropped = grid.crop(padded)
-    assert np.array_equal(cropped, x)
-    assert np.shares_memory(cropped, padded)
+    (wins,) = window_partition(x, grid)
+    assert (wins[:, 0, 0, 1, 0].reshape(7, 7) == x[0, 0:7, 7:14, 0]).all()
 
 
 @pytest.mark.parametrize("image, window, offset", [((14, 14), (7, 7), (3, 3)),
@@ -198,20 +184,13 @@ def test_window_types_place_every_token_where_padding_does(image, window, offset
     grid = WindowGrid(image, window, offset=offset)
     (H, W), (h, w) = image, window
     ids = np.arange(1, H * W + 1, dtype=np.float64).reshape(H, W)
-    padded = window_partition(ids.reshape(1, H, W, 1), grid)[0][0, ..., 0]
+    padded = _zero_padded(ids, grid)
     home = {v: ((i, j), (y, x)) for (i, y, j, x), v in np.ndenumerate(padded) if v}
     assert grid.rolled == (H % h == 0 and W % w == 0)
     seen = []
-    for t in grid.types:
-        (nr, nc) = t.counts
-        batch = np.zeros((nr, nc, h, w))
-        for rows, cols in t.pieces:
-            lr, lc = rows.pos.stop - rows.pos.start, cols.pos.stop - cols.pos.start
-            batch[rows.win, cols.win, rows.pos, cols.pos] = (
-                ids[rows.src, cols.src].reshape(-1, lr, cols.win.stop - cols.win.start, lc)
-                .transpose(0, 2, 1, 3))
+    for t, batch in zip(grid.types, window_partition(ids.reshape(1, H, W, 1), grid)):
         assert not grid.rolled or (batch != 0).all()
-        for win in batch.reshape(nr * nc, h * w):
+        for win in batch.reshape(h * w, -1).T:
             real = win != 0
             for p in np.flatnonzero(real):
                 assert home[win[p]][1] == divmod(p, w)
@@ -222,7 +201,31 @@ def test_window_types_place_every_token_where_padding_does(image, window, offset
     if grid.rolled:
         assert sum(a * b for a, b in (t.counts for t in grid.types)) == (H // h) * (W // w)
     else:
-        assert len(grid.types) == 1 and grid.types[0].counts == grid.counts
+        assert len(grid.types) == 1 and grid.types[0].counts == padded.shape[::2]
+
+
+@st.composite
+def _grids(draw):
+    """Windows of 1-8 per axis over whole and ragged extents, at any legal offset."""
+    axes = []
+    for _ in range(2):
+        win = draw(st.integers(1, 8))
+        extent = draw(st.one_of(st.integers(1, 3).map(lambda n, win=win: n * win),
+                                st.integers(win, 3 * win)))
+        axes.append((extent, win, draw(st.integers(0, win - 1))))
+    return WindowGrid(*zip(*axes))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_grids(), st.integers(1, 2), st.integers(1, 3))
+def test_partition_reverse_is_exact_on_random_grids(grid, B, C):
+    x = np.random.default_rng(B * 10 + C).standard_normal((B, *grid.image, C))
+    batches = window_partition(x, grid)
+    assert len(batches) == len(grid.types)
+    T = grid.window[0] * grid.window[1]
+    for t, batch in zip(grid.types, batches):
+        assert batch.shape == (T, B, *t.counts, C)
+    assert np.array_equal(window_reverse(batches, grid), x)
 
 
 def test_windows_does_not_import_the_engine():
