@@ -29,23 +29,17 @@ from .analysis import (STRATEGIES, count_flops, count_params, export_weight_maps
                        format_count)
 from .checkpoint import (MODEL_KEYS, model_config_from_mapping, model_from_checkpoint,
                          parse_config_file, typed_fields, typed_value)
-from .gradcheck import check_gradients, op_gradcheck_suite
-from .model import DROP_PATH_RATES, PRESETS, GswinBlock, GswinModel, ModelConfig
+from .gradcheck import SCOPES
+from .model import DROP_PATH_RATES, PRESETS, GswinModel, ModelConfig
 from .sgu import init_sgu_params, multi_head_window_sgu, zero_padding_shift_oracle
 from .tensor import Tensor, no_grad
-from .train import SyntheticTask, TrainConfig, cross_entropy, train
+from .train import SyntheticTask, TrainConfig, train
 from .windows import WindowGrid, shift_offset
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_CHECK_FAILED = 3
-
-# Smallest legal four-stage model; finite differences over every parameter
-# stay in CLI-friendly time only at this size.
-GRADCHECK_CONFIG = ModelConfig(base_channels=4, depths=(1, 1, 1, 1), heads=2,
-                               window=(4, 4), expansion=2, num_classes=2,
-                               image_size=32)
 
 # train config key -> SyntheticTask argument; the class count and image size
 # come from the model config
@@ -125,48 +119,10 @@ def _cmd_flops(args) -> int:
     return EXIT_OK
 
 
-def _block_gradcheck(seed: int) -> list[tuple[str, float]]:
-    """One shifted block on an 8x8 map, every parameter plus the input."""
-    rng = np.random.default_rng(seed)
-    grid = WindowGrid((8, 8), (4, 4), offset=shift_offset((4, 4), True))
-    block = GswinBlock(dim=4, grid=grid, heads=2, expansion=2, p_drop=0.0,
-                       rel_bias=True, prefix="block", rng=rng)
-    for p in (block.sgu.w_win, block.sgu.b_win, block.sgu.rel_table):
-        p.data += 0.3 * rng.standard_normal(p.shape)
-    x = Tensor(rng.standard_normal((2, 8, 8, 4)), requires_grad=True)
-    mask = rng.standard_normal((2, 8, 8, 4))
-
-    def loss():
-        return (block.forward(x, training=False, rng=None) * mask).sum()
-
-    err = check_gradients(loss, [x] + block.parameters(), tol=1e-4, floor=1e-4)
-    return [("block", err)]
-
-
-def _model_gradcheck(seed: int) -> list[tuple[str, float]]:
-    """Full four-stage model + smoothed cross-entropy, every parameter."""
-    model = GswinModel(GRADCHECK_CONFIG, seed=seed)
-    rng = np.random.default_rng(seed + 1)
-    for p in model.parameters():
-        if p.name.endswith((".w_win", ".b_win", ".rel_table")):
-            p.data += 0.3 * rng.standard_normal(p.shape)
-    images = rng.standard_normal((2, 32, 32, 3))
-    labels = np.array([0, 1])
-
-    def loss():
-        return cross_entropy(model.forward(Tensor(images)), labels, smoothing=0.1)
-
-    err = check_gradients(loss, model.parameters(), tol=1e-4, floor=1e-4)
-    return [("model", err)]
-
-
 def _cmd_gradcheck(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    runners = {"ops": lambda: op_gradcheck_suite(seed=seed),
-               "block": lambda: _block_gradcheck(seed),
-               "model": lambda: _model_gradcheck(seed)}
     try:
-        results = runners[args.scope]()
+        results = SCOPES[args.scope](seed)
     except AssertionError as exc:
         raise _CheckFailure(f"gradcheck scope={args.scope}: {exc}") from None
     payload = {"scope": args.scope, "seed": seed, "checks": len(results),
@@ -219,13 +175,11 @@ def _cmd_equiv(args) -> int:
     if args.json:
         payload["case_diffs"] = [dict(c, max_abs_diff=f"{c['max_abs_diff']:.3e}")
                                  for c in cases]
-        print(json.dumps(payload, indent=2))
     else:
         for c in cases:
             print(f"case image={c['image']} shifted={c['shifted']} heads={c['heads']} "
                   f"seed={c['seed']} max_abs_diff={c['max_abs_diff']:.3e}")
-        for key in ("seeds", "cases", "tolerance", "max_abs_diff", "status"):
-            print(f"{key}={payload[key]}")
+    _emit(payload, args.json)
     if worst >= tol:
         raise _CheckFailure(f"gating path vs zero-padding oracle max diff {worst:.3e} >= {tol}")
     return EXIT_OK
@@ -256,17 +210,13 @@ def _cmd_train(args) -> int:
 
     history = train(model, task, train_config, out_dir=args.out, on_eval=report)
     early = history.losses[:10]
-    payload = {"steps": train_config.total_steps,
-               "params": model.num_params(),
-               "early_loss_mean": f"{float(np.mean(early)):.6f}",
+    payload = {"early_loss_mean": f"{float(np.mean(early)):.6f}",
                "final_loss": f"{history.losses[-1]:.6f}",
                "final_eval_acc": f"{history.final_eval_acc:.4f}",
                "out_dir": str(args.out)}
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for key in ("early_loss_mean", "final_loss", "final_eval_acc", "out_dir"):
-            print(f"{key}={payload[key]}")
+    if args.json:  # the text report printed these two before the run
+        payload = {"steps": train_config.total_steps, "params": model.num_params(), **payload}
+    _emit(payload, args.json)
     return EXIT_OK
 
 
@@ -283,16 +233,14 @@ def _cmd_export_weights(args) -> int:
 
 def _cmd_presets(args) -> int:
     if args.json:
-        doc = {}
-        for name, cfg in PRESETS.items():
-            doc[name] = {"base_channels": cfg.base_channels,
-                         "depths": list(cfg.depths),
-                         "heads": cfg.heads,
-                         "window": list(cfg.window),
-                         "expansion": cfg.expansion,
-                         "drop_path": DROP_PATH_RATES[name],
-                         "params": count_params(cfg).total_params}
-        print(json.dumps(doc, indent=2))
+        _emit({name: {"base_channels": cfg.base_channels,
+                      "depths": list(cfg.depths),
+                      "heads": cfg.heads,
+                      "window": list(cfg.window),
+                      "expansion": cfg.expansion,
+                      "drop_path": DROP_PATH_RATES[name],
+                      "params": count_params(cfg).total_params}
+               for name, cfg in PRESETS.items()}, True)
         return EXIT_OK
     for name, cfg in PRESETS.items():
         depths = ",".join(str(d) for d in cfg.depths)
@@ -330,7 +278,7 @@ def build_parser() -> _Parser:
     p.add_argument("--strategy", choices=STRATEGIES, default="padding-free")
 
     p = add("gradcheck", _cmd_gradcheck, "finite-difference verification")
-    p.add_argument("--scope", choices=("ops", "block", "model"), default="ops")
+    p.add_argument("--scope", choices=tuple(SCOPES), default="ops")
     p.add_argument("--seed", type=int, default=None)
 
     p = add("equiv", _cmd_equiv, "compare shifted gating against the padded oracle")

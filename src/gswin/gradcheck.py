@@ -1,9 +1,14 @@
-"""Finite-difference verification of analytic gradients.
+"""Finite-difference verification of analytic gradients, at three scopes.
+
+``SCOPES`` maps each scope to its check: ``ops`` (every op that records a
+graph node), ``block`` (one shifted block) and ``model`` (the whole model
+under its loss). Each takes a seed and returns ``(name, worst relative
+error)`` pairs, or raises AssertionError on a mismatch.
 
 Central differences with step 1e-6 in float64 are bound by the roundoff of
 the loss, not by truncation: an entry whose gradient comes out of
 cancellation can differ from the analytic one by about 1e-5 relative, the
-tolerance for individual operations (1e-4 for whole-model losses).
+tolerance for individual operations (1e-4 for a block and a whole model).
 """
 from __future__ import annotations
 
@@ -12,13 +17,19 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tensor as T
-from .model import space_to_depth
+from .model import GswinBlock, GswinModel, ModelConfig, space_to_depth
 from .sgu import init_sgu_params, multi_head_window_sgu
 from .tensor import Tensor, backward
 from .train import cross_entropy
-from .windows import WindowGrid
+from .windows import WindowGrid, shift_offset
 
 _STEP = 1e-6
+
+# Smallest legal four-stage model; finite differences over every parameter
+# stay in CLI-friendly time only at this size.
+GRADCHECK_CONFIG = ModelConfig(base_channels=4, depths=(1, 1, 1, 1), heads=2,
+                               window=(4, 4), expansion=2, num_classes=2,
+                               image_size=32)
 
 
 def numerical_grad(f: Callable[[], Tensor], wrt: Tensor) -> np.ndarray:
@@ -60,7 +71,8 @@ def check_gradients(
     (~1e-4) than single ops because their losses are larger and noisier.
 
     Returns the worst relative error observed; raises AssertionError above
-    ``tol``. Existing gradients on the inputs are cleared first.
+    ``tol`` (raised, not asserted, so ``python -O`` keeps the verdict).
+    Existing gradients on the inputs are cleared first.
     """
     for t in inputs:
         t.grad = None
@@ -68,11 +80,14 @@ def check_gradients(
     backward(loss)
     worst = 0.0
     for t in inputs:
-        assert t.grad is not None, f"no gradient reached input with shape {t.shape}"
+        if t.grad is None:
+            raise AssertionError(f"no gradient reached input with shape {t.shape}")
         num = numerical_grad(f, t)
         err = max_rel_err(t.grad, num, floor=floor)
         worst = max(worst, err)
-        assert err < tol, f"gradient mismatch {err:.3e} >= {tol:.0e} for input shape {t.shape}"
+        if not err < tol:
+            raise AssertionError(
+                f"gradient mismatch {err:.3e} >= {tol:.0e} for input shape {t.shape}")
     return worst
 
 
@@ -126,3 +141,40 @@ def op_gradcheck_suite(seed: int = 0) -> list[tuple[str, float]]:
          gate_inputs),
     ]
     return [(name, check_gradients(f, inputs)) for name, f, inputs in cases]
+
+
+def block_gradcheck(seed: int) -> list[tuple[str, float]]:
+    """One shifted block on an 8x8 map, every parameter plus the input."""
+    rng = np.random.default_rng(seed)
+    grid = WindowGrid((8, 8), (4, 4), offset=shift_offset((4, 4), True))
+    block = GswinBlock(dim=4, grid=grid, heads=2, expansion=2, p_drop=0.0,
+                       rel_bias=True, prefix="block", rng=rng)
+    for p in (block.sgu.w_win, block.sgu.b_win, block.sgu.rel_table):
+        p.data += 0.3 * rng.standard_normal(p.shape)
+    x = Tensor(rng.standard_normal((2, 8, 8, 4)), requires_grad=True)
+    mask = rng.standard_normal((2, 8, 8, 4))
+
+    def loss():
+        return (block.forward(x, training=False, rng=None) * mask).sum()
+
+    return [("block", check_gradients(loss, [x] + block.parameters(), tol=1e-4, floor=1e-4))]
+
+
+def model_gradcheck(seed: int) -> list[tuple[str, float]]:
+    """``GRADCHECK_CONFIG`` + smoothed cross-entropy, every parameter."""
+    model = GswinModel(GRADCHECK_CONFIG, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    for p in model.parameters():
+        if p.name.endswith((".w_win", ".b_win", ".rel_table")):
+            p.data += 0.3 * rng.standard_normal(p.shape)
+    images = rng.standard_normal((2, 32, 32, 3))
+    labels = np.array([0, 1])
+
+    def loss():
+        return cross_entropy(model.forward(Tensor(images)), labels, smoothing=0.1)
+
+    return [("model", check_gradients(loss, model.parameters(), tol=1e-4, floor=1e-4))]
+
+
+SCOPES: dict[str, Callable[[int], list[tuple[str, float]]]] = {
+    "ops": op_gradcheck_suite, "block": block_gradcheck, "model": model_gradcheck}

@@ -194,9 +194,7 @@ class SyntheticTask:
 
 @dataclass
 class TrainHistory:
-    steps: list[int]
-    lrs: list[float]
-    losses: list[float]
+    losses: list[float]  # one per step, from step 1
     eval_steps: list[int]
     eval_accs: list[float]
 
@@ -219,8 +217,9 @@ def train(model: GswinModel, task: SyntheticTask, config: TrainConfig,
           on_eval: Callable[[int, float, float, float], None] | None = None) -> TrainHistory:
     """Run the loop; returns per-step losses and periodic eval accuracies.
 
-    With ``out_dir`` set, writes metrics.csv (step, lr, train_loss, eval_acc)
-    and a final checkpoint. ``on_eval`` is invoked after each evaluation with
+    With ``out_dir`` set, creates it before the first step and writes
+    metrics.csv (step, lr, train_loss, eval_acc) and a final checkpoint into
+    it at the end. ``on_eval`` is invoked after each evaluation with
     (step, lr, train_loss, eval_acc). Raises ``RuntimeError`` on a non-finite
     loss, or on a non-finite gradient, naming the first such parameter; both
     stop the run before the update.
@@ -231,12 +230,15 @@ def train(model: GswinModel, task: SyntheticTask, config: TrainConfig,
     n_train = len(task.train_x)
     if config.batch_size > n_train:
         raise ValueError(f"batch_size {config.batch_size} exceeds train_size {n_train}")
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
     params = model.parameters()
     mask = default_decay_mask(params)
     state: dict = {}
     order_rng = np.random.default_rng(config.seed)
     branch_rng = np.random.default_rng(config.seed + 1)
-    history = TrainHistory([], [], [], [], [])
+    history = TrainHistory([], [], [])
     queue: list[int] = []
 
     for t in range(1, config.total_steps + 1):
@@ -267,26 +269,22 @@ def train(model: GswinModel, task: SyntheticTask, config: TrainConfig,
         # the next step's forward and backward.
         del grads, g
 
-        history.steps.append(t)
-        history.lrs.append(lr_at(t, config))
         history.losses.append(loss_v)
         if t % config.eval_every == 0 or t == config.total_steps:
             acc = evaluate(model, task.eval_x, task.eval_y)
             history.eval_steps.append(t)
             history.eval_accs.append(acc)
             if on_eval is not None:
-                on_eval(t, history.lrs[-1], history.losses[-1], acc)
+                on_eval(t, lr_at(t, config), loss_v, acc)
 
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         eval_at = dict(zip(history.eval_steps, history.eval_accs))
         with atomic_open(out / "metrics.csv", "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["step", "lr", "train_loss", "eval_acc"])
-            for step, lr, loss_v in zip(history.steps, history.lrs, history.losses):
+            for step, loss_v in enumerate(history.losses, start=1):
                 acc = eval_at.get(step, "")
-                writer.writerow([step, f"{lr:.8g}", f"{loss_v:.8g}",
+                writer.writerow([step, f"{lr_at(step, config):.8g}", f"{loss_v:.8g}",
                                  f"{acc:.6g}" if acc != "" else ""])
         save_checkpoint(out / "final.ckpt", model)
     return history

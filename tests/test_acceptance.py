@@ -14,8 +14,7 @@ import numpy as np
 
 from gswin.analysis import count_flops, count_params, enumerate_params
 from gswin.checkpoint import model_config_from_mapping, parse_config_file
-from gswin.cli import GRADCHECK_CONFIG
-from gswin.gradcheck import check_gradients, op_gradcheck_suite
+from gswin.gradcheck import GRADCHECK_CONFIG, model_gradcheck, op_gradcheck_suite
 from gswin.model import PRESETS, GswinModel, ModelConfig
 from gswin.sgu import (init_sgu_params, materialize_relative_bias, multi_head_window_sgu,
                        toeplitz_index_map, zero_padding_shift_oracle)
@@ -141,27 +140,17 @@ def test_criterion_5_gradcheck():
         problems.append(f"op suite: {exc}")
         worst_op, n_ops = float("nan"), 0
 
-    model = GswinModel(GRADCHECK_CONFIG, seed=0)
-    rng = np.random.default_rng(1)
-    for p in model.parameters():
-        if p.name.endswith((".w_win", ".b_win", ".rel_table")):
-            p.data += 0.3 * rng.standard_normal(p.shape)
-    images = rng.standard_normal((2, 32, 32, 3))
-    labels = np.array([0, 1])
-
-    def loss():
-        return cross_entropy(model.forward(Tensor(images)), labels, smoothing=0.1)
-
     try:
-        worst_model = check_gradients(loss, model.parameters(), tol=1e-4, floor=1e-4)
+        [(_, worst_model)] = model_gradcheck(0)
     except AssertionError as exc:
         problems.append(f"whole model: {exc}")
         worst_model = float("nan")
     elapsed = perf_counter() - t0
     if elapsed >= 300.0:
         problems.append(f"took {elapsed:.0f}s, budget 300s")
+    n_params = count_params(GRADCHECK_CONFIG).total_params
     _verdict(5, problems, f"{n_ops} ops worst {worst_op:.1e} < 1e-5, full model "
-                          f"({model.num_params()} params) worst {worst_model:.1e} < 1e-4, "
+                          f"({n_params} params) worst {worst_model:.1e} < 1e-4, "
                           f"{elapsed:.0f}s")
 
 

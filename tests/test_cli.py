@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gswin import gradcheck
 from gswin.analysis import count_flops, count_params, read_weight_csv
 from gswin.checkpoint import load_checkpoint, save_checkpoint
 from gswin.cli import run
@@ -151,37 +152,37 @@ def test_gradcheck_block_scope(capsys):
 
 
 def test_gradcheck_failure_exits_three(monkeypatch, capsys):
-    import gswin.cli as cli
-
     def boom(seed=0):
         raise AssertionError("synthetic mismatch")
 
-    monkeypatch.setattr(cli, "op_gradcheck_suite", boom)
+    monkeypatch.setitem(gradcheck.SCOPES, "ops", boom)
     assert run(["gradcheck", "--scope", "ops"]) == 3
     assert "synthetic mismatch" in capsys.readouterr().err
 
 
 def test_gradcheck_model_scope_checks_every_parameter(monkeypatch, capsys):
     # records the call instead of running it: criterion 5 runs the real check
-    import gswin.cli as cli
     seen = {}
 
     def record(f, inputs, tol=1e-5, floor=1e-6):
         seen.update(names=[p.name for p in inputs], tol=tol, floor=floor)
         return 0.0
 
-    monkeypatch.setattr(cli, "check_gradients", record)
+    monkeypatch.setattr(gradcheck, "check_gradients", record)
     assert run(["gradcheck", "--scope", "model", "--seed", "2"]) == 0
     assert _lines(capsys)["status"] == "ok"
-    model = GswinModel(cli.GRADCHECK_CONFIG, seed=2)
+    model = GswinModel(gradcheck.GRADCHECK_CONFIG, seed=2)
     assert seen == {"names": [p.name for p in model.parameters()], "tol": 1e-4, "floor": 1e-4}
 
 
 def test_equiv_reports_and_passes(capsys):
     assert run(["equiv", "--seeds", "2"]) == 0
     raw = capsys.readouterr().out
-    kv = dict(line.partition("=")[::2] for line in raw.splitlines() if "=" in line
-              and not line.startswith("case "))
+    lines = raw.splitlines()
+    assert all(line.startswith("case ") for line in lines[:12])
+    assert [line.partition("=")[0] for line in lines[12:]] == [
+        "seeds", "cases", "tolerance", "max_abs_diff", "status"]
+    kv = dict(line.partition("=")[::2] for line in lines[12:])
     assert kv["status"] == "ok"
     assert int(kv["cases"]) == 12
     assert float(kv["max_abs_diff"]) < 1e-12
@@ -256,7 +257,11 @@ def test_train_then_export_weights(tmp_path, capsys):
     cfg.write_text(TRAIN_CFG)
     out_dir = tmp_path / "run"
     assert run(["train", "--config", str(cfg), "--out", str(out_dir)]) == 0
-    kv = _lines(capsys)
+    lines = capsys.readouterr().out.splitlines()
+    # six steps, evaluated every three: two step lines between the totals
+    assert [line.partition("=")[0] for line in lines] == [
+        "params", "step", "step", "early_loss_mean", "final_loss", "final_eval_acc", "out_dir"]
+    kv = dict(line.partition("=")[::2] for line in lines)
     assert (out_dir / "metrics.csv").exists()
     assert (out_dir / "final.ckpt").exists()
     assert 0.0 <= float(kv["final_eval_acc"]) <= 1.0

@@ -1,11 +1,16 @@
 """Autodiff engine: every primitive against central finite differences."""
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
+import gswin
 from gswin.tensor import (
     _BLOCK,
     Tensor,
@@ -244,6 +249,36 @@ def test_numerical_grad_matches_closed_form():
     a = Tensor(np.array([1.0, 2.0, -0.5]), requires_grad=True)
     num = numerical_grad(lambda: (a * a).sum(), a)
     assert np.allclose(num, 2 * a.data, atol=1e-6)
+
+
+_OPTIMIZED_VERDICTS = """
+import numpy as np
+from gswin.gradcheck import check_gradients
+from gswin.tensor import Tensor
+
+x = Tensor(np.ones(3), requires_grad=True)
+unused = Tensor(np.ones(2), requires_grad=True)
+cases = {"mismatch": (lambda: Tensor._result(2 * x.data, (x,), lambda g: (g,)).sum(), [x]),
+         "no_grad": (lambda: x.sum(), [x, unused])}
+for name, (f, inputs) in cases.items():
+    try:
+        check_gradients(f, inputs)
+    except AssertionError as exc:
+        print(name, exc)
+    else:
+        print(name, "passed")
+"""
+
+
+def test_check_gradients_keeps_its_verdict_under_python_O():
+    # -O strips assert statements; both failures must still raise AssertionError
+    src = str(Path(gswin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_VERDICTS], env=env,
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    assert out == ["mismatch gradient mismatch 5.000e-01 >= 1e-05 for input shape (3,)",
+                   "no_grad no gradient reached input with shape (2,)"]
 
 
 # -- graph nodes hold no values ---------------------------------------------

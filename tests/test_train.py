@@ -413,6 +413,18 @@ def test_train_writes_metrics_and_checkpoint(tmp_path):
     assert len(hist.eval_steps) == 2
 
 
+def test_train_out_dir_that_is_a_file_fails_before_the_first_forward(tmp_path, monkeypatch):
+    model = GswinModel(MICRO, seed=0)
+    forwards = []
+    monkeypatch.setattr(model, "forward", lambda *a, **kw: forwards.append(1))
+    taken = tmp_path / "run"
+    taken.write_text("not a directory")
+    with pytest.raises(OSError):
+        train(model, micro_task(), TrainConfig(total_steps=2, warmup_steps=0, batch_size=4),
+              out_dir=taken)
+    assert forwards == []
+
+
 def test_train_rejects_class_mismatch():
     model = GswinModel(MICRO, seed=0)
     with pytest.raises(ValueError):
