@@ -155,7 +155,8 @@ def multi_head_window_sgu(x: Tensor, params: SguParams, grid: WindowGrid) -> Ten
         del mixed
     z1 = x.data[..., :C]
     if not record:
-        return Tensor(z1 * m)
+        m *= z1  # the gate multiply in place: the same product, one half-map fewer
+        return Tensor(m)
     z1 = z1.copy()  # a view of ``x`` would keep the whole (B, H, W, 2C) input alive
     out = z1 * m
 

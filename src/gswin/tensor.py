@@ -28,8 +28,17 @@ from scipy.special import erf as _erf
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 _LN_EPS = 1e-5
-# Values per GELU block: a block's input, CDF and output (3 x 128 KB) stay in L2.
-_BLOCK = 1 << 14
+# Values per GELU block. ``erf`` runs on its halves: a half-block's input, z and
+# rational-form buffers (3 x 256 KB) stay in L2, and the block buffer plus the
+# half-block ``z`` buffer keep no-grad GELU under two blocks beyond its output.
+_BLOCK = 1 << 16
+_ERF_CHUNK = _BLOCK // 2
+# The numerator and denominator coefficients of cephes ``ndtr.c``'s ``erf`` on
+# |u| <= 1, the branch scipy's ``erf`` takes there; the denominator is monic.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
 
 _grad_enabled = True
 
@@ -220,6 +229,32 @@ class Parameter(Tensor):
 # -- free functions ----------------------------------------------------------
 
 
+def _erf_chunk(u: np.ndarray, z: np.ndarray, pq: np.ndarray) -> None:
+    """Overwrite ``u`` with scipy's ``erf(u)``, bit for bit; ``z`` and ``pq`` are scratch.
+
+    When every value lies in [-1, 1] (a NaN fails both tests) this runs the
+    rational form cephes runs there, ``u * P(u*u) / Q(u*u)``, one multiply or
+    add at a time in cephes's order, so every value rounds as scipy's does;
+    it negates exactly for negative ``u``, as cephes's ``-erf(-u)`` does. Any
+    other chunk calls scipy's ``erf``.
+    """
+    if not (u.min() >= -1.0 and u.max() <= 1.0):
+        _erf(u, out=u)
+        return
+    np.multiply(u, u, out=z)
+    np.multiply(z, _ERF_T[0], out=pq)
+    for t in _ERF_T[1:-1]:  # P: Horner's rule from the leading coefficient
+        pq += t
+        pq *= z
+    pq += _ERF_T[-1]
+    u *= pq
+    np.add(z, _ERF_U[0], out=pq)
+    for c in _ERF_U[1:]:  # Q: the monic denominator
+        pq *= z
+        pq += c
+    u /= pq
+
+
 def gelu(x: Tensor) -> Tensor:
     """Gaussian Error Linear Unit, exact erf form.
 
@@ -227,20 +262,29 @@ def gelu(x: Tensor) -> Tensor:
     buffer, so the forward allocates only its output and, when a node is
     recorded, the slope ``cdf + x * pdf``; the vjp keeps only the slope, not
     ``x`` or ``cdf``. Each block runs ``x * (0.5 * (1.0 + erf(x / sqrt 2)))``'s
-    operations in that order, so every value rounds as the whole-array form.
+    operations in that order, so every value rounds as the whole-array form
+    with scipy's ``erf``. ``erf`` runs on half-blocks: one whose values all lie
+    in [-1, 1] evaluates cephes's rational form in numpy (see ``_erf_chunk``),
+    with the output block, not yet written, as its scratch; any other calls
+    scipy. Near-init pre-activations fall mostly in the first kind.
     """
     x_flat = x.data.reshape(-1)
     out_data = np.empty(x.shape)  # C-contiguous, so its flat view below is no copy
+    out_flat = out_data.reshape(-1)
     slope = np.empty(x.shape) if Tensor._records((x,)) else None
     cdf_buf = np.empty(min(x_flat.size, _BLOCK))
+    z_buf = np.empty(min(x_flat.size, _ERF_CHUNK))
     for lo in range(0, x_flat.size, _BLOCK):
         xb = x_flat[lo:lo + _BLOCK]
+        ob = out_flat[lo:lo + _BLOCK]
         cdf = cdf_buf[:xb.size]
         np.multiply(xb, _INV_SQRT2, out=cdf)
-        _erf(cdf, out=cdf)
+        for h in range(0, xb.size, _ERF_CHUNK):
+            u = cdf[h:h + _ERF_CHUNK]
+            _erf_chunk(u, z_buf[:u.size], ob[:u.size])
         cdf += 1.0
         cdf *= 0.5
-        np.multiply(xb, cdf, out=out_data.reshape(-1)[lo:lo + _BLOCK])
+        np.multiply(xb, cdf, out=ob)
         if slope is not None:
             # The closed form's operations in its order, so the gradient rounds
             # as g * (cdf + x * pdf) with pdf = _INV_SQRT_2PI * exp(-0.5 * x * x) does.

@@ -265,8 +265,8 @@ def train(model: GswinModel, task: SyntheticTask, config: TrainConfig,
                 raise RuntimeError(f"non-finite gradient at step {t} in {p.name}")
         adamw_step(params, grads, state, t, config, decay_mask=mask)
         # Drop the list and the loop's last gradient; ``zero_grads`` at the top
-        # of the loop drops the rest, so no gradient of this step lives through
-        # the next step's forward and backward.
+        # of the loop (or after it) drops the rest, so no gradient of this step
+        # lives through the next step's forward and backward, or past the run.
         del grads, g
 
         history.losses.append(loss_v)
@@ -276,6 +276,7 @@ def train(model: GswinModel, task: SyntheticTask, config: TrainConfig,
             history.eval_accs.append(acc)
             if on_eval is not None:
                 on_eval(t, lr_at(t, config), loss_v, acc)
+    model.zero_grads()
 
     if out_dir is not None:
         eval_at = dict(zip(history.eval_steps, history.eval_accs))

@@ -16,7 +16,8 @@ _spec.loader.exec_module(fingerprint)
 def test_fingerprint_is_equal_twice_in_one_process():
     first = fingerprint.fingerprint(tiny=True)
     assert fingerprint.fingerprint(tiny=True) == first
-    for section in ("init.", "step.", "eval.", "checkpoint.", "count_params.", "count_flops."):
+    for section in ("init.", "step.", "eval.", "gelu.", "checkpoint.", "count_params.",
+                    "count_flops."):
         assert any(key.startswith(section) for key in first), section
     nodes = {k: v for k, v in first.items() if k.endswith(".nodes")}
     assert len(nodes) == 2 and all(isinstance(v, int) and v > 0 for v in nodes.values())

@@ -11,8 +11,10 @@ import pytest
 from scipy.special import erf
 
 import gswin
+import gswin.tensor as gtensor
 from gswin.tensor import (
     _BLOCK,
+    _ERF_CHUNK,
     Tensor,
     Parameter,
     _Node,
@@ -136,12 +138,15 @@ def test_gelu_grad_and_values():
 def test_gelu_grad_equals_the_closed_form_bit_for_bit():
     # Two blocks and a ragged tail cross every block edge. A transposed view
     # still gets a C-contiguous output: a block written into a flattened copy
-    # of the output would be lost.
+    # of the output would be lost. Every erf chunk of ``x_narrow`` lies in
+    # [-1, 1] and takes the rational form, and its last block ends 17 values
+    # past a half-block edge.
     tails = np.linspace(-8.0, 8.0, 41)
     x_data = np.concatenate([[0.0, 1e-3, -1e-3, 1.0, -1.0], tails,
                              RNG.standard_normal(2 * _BLOCK + 64)])
     x_view = x_data[:7 * (x_data.size // 7)].reshape(7, -1).T
-    for data in (x_data, x_view):
+    x_narrow = RNG.uniform(-1.4142, 1.4142, _BLOCK + _ERF_CHUNK + 17)
+    for data in (x_data, x_view, x_narrow):
         g = RNG.standard_normal(data.shape)
         cdf = 0.5 * (1.0 + erf(data * (1.0 / np.sqrt(2.0))))
         pdf = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * data * data)
@@ -156,7 +161,9 @@ def test_gelu_grad_equals_the_closed_form_bit_for_bit():
 
 
 def test_no_grad_gelu_allocates_its_output_and_one_block():
-    x = Tensor(RNG.standard_normal(3 * _BLOCK + 5))
+    # The first two blocks take erf's rational form, the rest scipy's erf.
+    x = Tensor(np.concatenate([0.2 * RNG.standard_normal(2 * _BLOCK),
+                               RNG.standard_normal(_BLOCK + 5)]))
     tracemalloc.start()
     try:
         with no_grad():
@@ -165,6 +172,45 @@ def test_no_grad_gelu_allocates_its_output_and_one_block():
     finally:
         tracemalloc.stop()
     assert peak <= out.data.nbytes + 2 * _BLOCK * x.data.itemsize, peak
+
+
+def _erf_in_chunks(u, monkeypatch):
+    """``u``'s erf by ``_erf_chunk`` on consecutive erf chunks, and the chunks that called scipy."""
+    fallbacks = []
+
+    def scipy_erf(a, out):
+        fallbacks.append(a.size)
+        return erf(a, out=out)
+
+    monkeypatch.setattr(gtensor, "_erf", scipy_erf)
+    out = u.copy()
+    z, pq = np.empty(_ERF_CHUNK), np.empty(_ERF_CHUNK)
+    for lo in range(0, out.size, _ERF_CHUNK):
+        chunk = out[lo:lo + _ERF_CHUNK]
+        gtensor._erf_chunk(chunk, z[:chunk.size], pq[:chunk.size])
+    return out, fallbacks
+
+
+def test_erf_rational_form_equals_scipy_bit_for_bit_on_the_unit_interval(monkeypatch):
+    rng = np.random.default_rng(22)
+    bits = rng.integers(0, 2**64, size=1 << 19, dtype=np.uint64).view(np.float64)
+    tiny = np.finfo(np.float64).smallest_normal
+    edges = np.array([0.0, 1.0, np.nextafter(1.0, 0.0), 5e-324, tiny - 5e-324, tiny, 1e-300])
+    u = np.concatenate([edges, -edges, bits[np.abs(bits) <= 1.0],
+                        rng.uniform(-1.0, 1.0, 1 << 18), np.linspace(-1.0, 1.0, 100_003)])
+    got, fallbacks = _erf_in_chunks(u, monkeypatch)
+    assert fallbacks == []
+    assert np.array_equal(got.view(np.uint64), erf(u).view(np.uint64))
+
+
+@pytest.mark.parametrize("planted", [np.nextafter(1.0, 2.0), -np.nextafter(1.0, 2.0), 1.5,
+                                     np.nan, np.inf, -np.inf])
+def test_erf_chunk_past_the_unit_interval_calls_scipy(planted, monkeypatch):
+    u = RNG.uniform(-1.0, 1.0, 2 * _ERF_CHUNK + 9)
+    u[_ERF_CHUNK + 3] = planted
+    got, fallbacks = _erf_in_chunks(u, monkeypatch)
+    assert fallbacks == [_ERF_CHUNK]
+    assert np.array_equal(got.view(np.uint64), erf(u).view(np.uint64))
 
 
 def test_recorded_gelu_keeps_no_view_of_its_input():

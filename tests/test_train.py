@@ -282,17 +282,32 @@ def test_train_lr_zero_keeps_params_and_loss_constant():
         assert (p.data == before[p.name]).all()
 
 
-def test_train_single_step_moves_gradient_bearing_params():
+def test_train_single_step_moves_gradient_bearing_params(monkeypatch):
     model = GswinModel(MICRO, seed=0)
     before = {p.name: p.data.copy() for p in model.parameters()}
     task = micro_task()
+    bearing: list[set[str]] = []
+    real_adamw = gtrain.adamw_step
+
+    def adamw(params, grads, *args, **kwargs):
+        bearing.append({p.name for p, g in zip(params, grads) if np.abs(g).max() > 0})
+        return real_adamw(params, grads, *args, **kwargs)
+
+    monkeypatch.setattr(gtrain, "adamw_step", adamw)
     # warmup peak at step 1 keeps the schedule nonzero for the single update
     cfg = TrainConfig(lr=1e-3, warmup_steps=1, total_steps=2, batch_size=4,
                       eval_every=1, seed=0)
     train(model, task, cfg)
-    for p in model.parameters():
-        if p.grad is not None and np.abs(p.grad).max() > 0:
-            assert (p.data != before[p.name]).any(), p.name
+    assert len(bearing) == 2 and bearing[-1]
+    for name in bearing[-1]:
+        assert (model.param(name).data != before[name]).any(), name
+
+
+def test_train_releases_the_last_step_gradients():
+    model = GswinModel(MICRO, seed=0)
+    cfg = TrainConfig(total_steps=2, warmup_steps=0, batch_size=4, eval_every=1000)
+    train(model, micro_task(eval_size=4), cfg)
+    assert all(p.grad is None for p in model.parameters())
 
 
 def test_train_seeded_runs_bit_identical():

@@ -23,6 +23,11 @@ The object holds, in order:
   zero-padded grids in its first three stages and a rolled one in its last.
   The first two run GELU on maps smaller than one of its blocks, the third on
   many blocks;
+- ``gelu.<range>.*``: GELU's no-grad output, and its recorded output and
+  slope (the gradient of its sum), on ``GELU_VALUES`` values drawn from
+  |x| <= sqrt 2, where every erf chunk takes cephes's rational form in numpy
+  (``narrow``), and from [-8, 8], where every chunk calls scipy's ``erf``
+  (``wide``);
 - ``checkpoint.<model>``: the bytes of a saved seed-0 checkpoint;
 - ``count_params.*`` per module and ``count_flops.*`` of each preset at 160,
   224 and 256 px under both strategies.
@@ -51,6 +56,8 @@ import numpy as np  # noqa: E402
 
 DROP_PATH = 0.1
 FLOP_RESOLUTIONS = (160, 224, 256)
+GELU_VALUES = 200_003  # three GELU blocks and a ragged tail
+GELU_RANGES = {"narrow": 1.4142, "wide": 8.0}
 
 
 def digest(a) -> str:
@@ -118,6 +125,22 @@ def _step(name: str, config, batch: int, seed: int) -> dict:
     return out
 
 
+def _gelu() -> dict:
+    from gswin.tensor import Tensor, backward, gelu, no_grad
+
+    out = {}
+    for seed, (name, bound) in enumerate(GELU_RANGES.items()):
+        data = np.random.default_rng(seed).uniform(-bound, bound, GELU_VALUES)
+        with no_grad():
+            out[f"gelu.{name}.no_grad"] = digest(gelu(Tensor(data)).data)
+        x = Tensor(data, requires_grad=True)
+        y = gelu(x)
+        out[f"gelu.{name}.out"] = digest(y.data)
+        backward(y.sum())
+        out[f"gelu.{name}.slope"] = digest(x.grad)
+    return out
+
+
 def fingerprint(tiny: bool = False) -> dict:
     """The fingerprint of the ``gswin`` on ``sys.path``; ``tiny`` uses micro models."""
     from gswin.analysis import STRATEGIES, count_flops, count_params
@@ -140,6 +163,7 @@ def fingerprint(tiny: bool = False) -> dict:
         images = np.random.default_rng(10 * seed + 8).standard_normal((1, size, size, 3))
         with no_grad():
             out[f"eval.{name}.logits"] = digest(model.forward(Tensor(images)).data)
+    out.update(_gelu())
     name, config = plan["checkpoint"]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "seed0.ckpt"
