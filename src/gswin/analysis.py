@@ -8,15 +8,14 @@ materialization of effective mixing weights are not. Under this convention
 the spatial-mixing cost is independent of the head count (each token-mixing
 product touches every gate channel exactly once regardless of grouping).
 
-Both strategies read a layer's geometry from its
+Both strategies read a layer's geometry from the ``bands`` of its
 :class:`~gswin.windows.WindowGrid`. "padding-free" charges each window its
-true token count (the paper's count, from ``bands``); "zero-padding" charges
-every window of the tiling zero-padded to whole windows (``counts``) in full,
-which is the arithmetic the model executes on a map that is not a whole
-number of windows. A map that is, as every map of the
-presets at 224 px is, runs rolled as H*W/(h*w) whole windows, shifted or
-not: its mixing work is the unshifted layer's, which for a shifted layer
-lies between the two counts.
+true token count (the paper's count); "zero-padding" charges every band pair
+a whole h x w window, as if each partial band were zero-padded to a window of
+its own. The model mixes ceil(H/h) * ceil(W/w) whole windows on every map,
+shifted or not: a shifted layer's two partial bands share one window on
+each axis where they fit (see :mod:`gswin.windows`), so its mixing work is
+the unshifted layer's and lies between the two counts.
 """
 from __future__ import annotations
 
@@ -91,12 +90,13 @@ def enumerate_params(model: GswinModel) -> dict[str, int]:
 def _sgu_window_sums(grid: WindowGrid, strategy: str) -> tuple[int, int]:
     """(sum of squared window token counts, sum of window token counts).
 
-    With zero-padding each of the grid's ``counts`` windows holds h * w tokens.
-    Without padding a window holds e_r * e_c tokens for its row and column
-    bands, so the squared sum factors per axis and the token sum is H * W.
+    With zero-padding each pair of the grid's row and column bands holds a
+    window of h * w tokens. Without padding a window holds e_r * e_c tokens
+    for its row and column bands, so the squared sum factors per axis and the
+    token sum is H * W.
     """
     if strategy == "zero-padding":
-        windows, T = grid.counts[0] * grid.counts[1], grid.window[0] * grid.window[1]
+        windows, T = len(grid.bands[0]) * len(grid.bands[1]), grid.window[0] * grid.window[1]
         return windows * T * T, windows * T
     rows, cols = (sum(e * e for e in bands) for bands in grid.bands)
     return rows * cols, grid.image[0] * grid.image[1]

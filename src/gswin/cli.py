@@ -153,8 +153,9 @@ def _cmd_equiv(args) -> int:
     if args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     window = (7, 7)
-    # whole numbers of windows, mixed rolled; and a ragged map, mixed zero-padded
-    fixed = [((14, 14), True), ((21, 28), True), ((7, 7), True), ((9, 16), True)]
+    # whole-window maps; ragged ones whose partial bands share a window (12x12) or not (9x16)
+    fixed = [((14, 14), True), ((21, 28), True), ((7, 7), True), ((12, 12), True),
+             ((9, 16), True)]
     cases: list[dict] = []
     worst = 0.0
     for i in range(args.seeds):

@@ -259,8 +259,9 @@ class GswinModel:
         _, H, W, Cin = images.shape
         if Cin != 3:
             raise ValueError(f"expected 3 input channels, got {Cin}")
-        if H % 4 or W % 4:
-            raise ValueError(f"image extents {(H, W)} must be divisible by 4")
+        if (H, W) != (self.config.image_size,) * 2:
+            raise ValueError(f"image extents {(H, W)} do not match the model's "
+                             f"image_size {self.config.image_size}")
         x = space_to_depth(images, 4) @ self.embed_w + self.embed_b
         return layer_norm(x, self.embed_ng, self.embed_nb)
 

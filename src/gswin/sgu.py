@@ -8,13 +8,13 @@ this rule in each window of a :class:`~gswin.windows.WindowGrid`.
 Each layer mixes the window types of its grid with one matmul per type,
 batched over the heads. It takes one type's gate half at a time from the map
 with :func:`~gswin.windows.gather`, mixes it, and writes the result back with
-:func:`~gswin.windows.scatter`. The wrapped windows of a rolled grid mix with
-the weight zeroed between tokens of different bands; a map that is not a
-whole number of windows is mixed zero-padded to whole windows (the
-``zero-padding`` strategy of :mod:`gswin.analysis`). Either way every token
-keeps its in-window position and mixes only with the real tokens of its own
-window, so the result equals slicing the weights for each partial window
-(the ``padding-free`` strategy, which the paper counts as cheaper).
+:func:`~gswin.windows.scatter`. A wrapped window, where a shifted layer's two
+partial bands share one window, mixes with the weight zeroed between tokens
+of different bands; any other partial band is mixed zero-padded to a whole
+window. Either way every token keeps its in-window position and mixes only
+with the real tokens of its own band pair, so the result equals slicing the
+weights for each partial window (the ``padding-free`` strategy of
+:mod:`gswin.analysis`, which the paper counts as cheaper).
 
 A gating layer records one graph node, over the input, ``w_win``, ``b_win``
 and the relative-offset table, with an analytic vjp. The forward builds the

@@ -52,10 +52,7 @@ def lr_at(step: int, config: TrainConfig) -> float:
         raise ValueError(f"step {step} outside [0, {config.total_steps}]")
     if config.warmup_steps and step <= config.warmup_steps:
         return config.lr * step / config.warmup_steps
-    span = config.total_steps - config.warmup_steps
-    if span == 0:
-        return 0.0
-    tau = (step - config.warmup_steps) / span
+    tau = (step - config.warmup_steps) / (config.total_steps - config.warmup_steps)
     return config.lr * 0.5 * (1.0 + math.cos(math.pi * tau))
 
 

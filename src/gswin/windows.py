@@ -1,14 +1,17 @@
 """Window tiling geometry, and the one window layout the gating unit runs.
 
-:class:`WindowGrid` is the one description of a layer's tiling: its window
-counts and band extents, and the window types the gating unit mixes. A grid
-whose map extents are whole multiples of its window is mixed on the map
-rolled by ``-offset`` (Swin's cyclic shift): no window is padded, and the
-windows that wrap round the map's edge mix only tokens of their own band.
-Any other grid is mixed zero-padded to whole windows. :func:`gather` and
-:func:`scatter` move one window type's tokens between a map and its batch;
-:func:`window_partition` and :func:`window_reverse` do so for every type of
-a grid. All of them work on numpy arrays.
+:class:`WindowGrid` is the one description of a layer's tiling: its band
+extents and the window types the gating unit mixes. One rule tiles every
+map. Each token keeps the in-window position that zero padding to whole
+windows gives it. Along an axis where a shifted tiling's leading and
+trailing partial bands fit in one window side by side, the two share one
+wrapped window, as Swin's cyclic shift (the map rolled by ``-offset``) puts
+them, and a mask keeps each band's tokens to their own band; on any other
+axis each partial band sits in a zero-padded window of its own. So every
+layer mixes ceil(H/h) * ceil(W/w) windows, the unshifted layer's count.
+:func:`gather` and :func:`scatter` move one window type's tokens between a
+map and its batch; :func:`window_partition` and :func:`window_reverse` do so
+for every type of a grid. All of them work on numpy arrays.
 """
 from __future__ import annotations
 
@@ -45,18 +48,16 @@ class WindowType(NamedTuple):
     mask: np.ndarray
 
 
-def _axis(extent: int, window: int, origin: int) -> tuple[int, tuple[int, ...], tuple]:
-    """One axis of a tiling: its zero-padded window count, its band extents,
-    and its window groups, zero-padded and rolled.
+def _axis(extent: int, window: int, origin: int) -> tuple[tuple[int, ...], list]:
+    """One axis of a tiling: its band extents and its window groups.
 
     Raises ``ValueError`` unless the window fits the axis and the origin lies
-    in it. A group is (window count, pieces, band split). Zero-padded, one
-    group covers the axis: the leading partial band sits at the end of window
-    0 and the trailing one at the start of the last window. Rolled, which
-    holds only when the extent is a whole number of windows, the whole
-    windows form one group and the two partial bands share one wrapped
-    window, split between them at the same positions. A split of 0 leaves the
-    window one band.
+    in it. A group is (window count, pieces, band split); a split of 0 leaves
+    the window one band. The leading partial band sits at in-window positions
+    ``lead..window`` and the trailing one at ``0..tail``. When ``0 < tail <=
+    lead``, which every whole-window axis with a nonzero origin meets, the
+    two share one wrapped window, split at ``lead``, after a group of the
+    whole windows. Otherwise one group covers the axis, zero-padded.
     """
     if not 1 <= window <= extent:
         raise ValueError(f"window {window} does not fit axis extent {extent}")
@@ -69,13 +70,12 @@ def _axis(extent: int, window: int, origin: int) -> tuple[int, tuple[int, ...], 
     body = Piece(slice(first, first + full), slice(0, window),
                  slice(origin, origin + full * window))
     end = Piece(slice(first + full, first + full + 1), slice(0, tail), slice(extent - tail, extent))
-    count = first + full + bool(tail)
-    padded = (head,) * bool(origin) + (body,) * bool(full) + (end,) * bool(tail)
-    rolled = [(full, (body._replace(win=slice(0, full)),), 0)] * bool(full)
-    if origin:  # when rolled, tail == lead: the two partial bands fill one window
-        rolled.append((1, (end._replace(win=slice(0, 1)), head), lead))
     bands = tuple(e for e in (origin, *[window] * full, tail) if e)
-    return count, bands, ([(count, padded, 0)], rolled)
+    if 0 < tail <= lead:
+        shared = [(full, (body._replace(win=slice(0, full)),), 0)] * bool(full)
+        return bands, shared + [(1, (end._replace(win=slice(0, 1)), head), lead)]
+    padded = (head,) * bool(origin) + (body,) * bool(full) + (end,) * bool(tail)
+    return bands, [(len(bands), padded, 0)]
 
 
 def _band_mask(window: tuple[int, int], splits: tuple[int, int]) -> np.ndarray:
@@ -97,20 +97,18 @@ class WindowGrid:
     The first whole window starts at ``offset`` (oy, ox), so along each axis
     a nonzero origin leaves a leading partial band before it.
 
-    counts: (n_h, n_w) windows of the tiling zero-padded to whole windows,
-            the arithmetic the ``zero-padding`` cost strategy charges.
     bands:  per axis, the token extents of the bands the tiling cuts the
             axis into: a leading partial band when the origin is nonzero,
             the whole windows, and a trailing remainder.
-    rolled: H and W are whole multiples of h and w, so the windows tile the
-            map rolled by ``-offset`` with no padding. Each token keeps the
-            in-window position that zero padding would give it; the last row
-            and column of windows wrap round the map's edge.
-    types:  the :class:`WindowType` batches the gating unit mixes. Rolled:
-            the interior windows, the wrapped last row, the wrapped last
-            column and the corner, each present when it holds a window, the
-            wrapped ones masked to their bands. Otherwise: one batch of
-            every window zero-padded to whole windows.
+    rolled: H and W are whole multiples of h and w, so no window holds
+            padding and :func:`gather` need not zero its batch.
+    types:  the :class:`WindowType` batches the gating unit mixes, one per
+            pair of a row group and a column group. An axis whose partial
+            bands share a window has two groups, its whole windows (when it
+            has any) and the wrapped window, masked to its two bands; any
+            other axis has one group of all its windows. A whole-window map
+            thus mixes the interior windows, the wrapped last row, the
+            wrapped last column and the corner.
     """
 
     def __init__(self, image: tuple[int, int], window: tuple[int, int],
@@ -118,12 +116,12 @@ class WindowGrid:
         self.image = (int(image[0]), int(image[1]))
         self.window = (int(window[0]), int(window[1]))
         self.offset = (int(offset[0]), int(offset[1]))
-        self.counts, self.bands, groups = zip(
+        self.bands, groups = zip(
             *(_axis(*axis) for axis in zip(self.image, self.window, self.offset)))
         self.rolled = all(e % win == 0 for e, win in zip(self.image, self.window))
         self.types = tuple(
             WindowType((nr, nc), tuple(product(pr, pc)), _band_mask(self.window, (sr, sc)))
-            for (nr, pr, sr), (nc, pc, sc) in product(*(g[self.rolled] for g in groups)))
+            for (nr, pr, sr), (nc, pc, sc) in product(*groups))
 
     def __repr__(self) -> str:
         return f"WindowGrid(image={self.image}, window={self.window}, offset={self.offset})"

@@ -179,15 +179,16 @@ def test_equiv_reports_and_passes(capsys):
     assert run(["equiv", "--seeds", "2"]) == 0
     raw = capsys.readouterr().out
     lines = raw.splitlines()
-    assert all(line.startswith("case ") for line in lines[:12])
-    assert [line.partition("=")[0] for line in lines[12:]] == [
+    assert all(line.startswith("case ") for line in lines[:14])
+    assert [line.partition("=")[0] for line in lines[14:]] == [
         "seeds", "cases", "tolerance", "max_abs_diff", "status"]
-    kv = dict(line.partition("=")[::2] for line in lines[12:])
+    kv = dict(line.partition("=")[::2] for line in lines[14:])
     assert kv["status"] == "ok"
-    assert int(kv["cases"]) == 12
+    assert int(kv["cases"]) == 14
     assert float(kv["max_abs_diff"]) < 1e-12
-    assert raw.count("case image=") == 12
+    assert raw.count("case image=") == 14
     assert raw.count("case image=9x16 shifted=True") == 2
+    assert raw.count("case image=12x12 shifted=True") == 2
 
 
 def test_equiv_seed_env_var(monkeypatch, capsys):
@@ -209,7 +210,7 @@ def test_equiv_json_lists_every_case(capsys):
     assert run(["equiv", "--seeds", "1", "--seed", "4", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "ok"
-    assert len(doc["case_diffs"]) == doc["cases"] == 6
+    assert len(doc["case_diffs"]) == doc["cases"] == 7
     assert {c["seed"] for c in doc["case_diffs"]} == {4}
     assert all(float(c["max_abs_diff"]) < 1e-12 for c in doc["case_diffs"])
 

@@ -232,6 +232,9 @@ def test_embed_rejects_bad_inputs():
         m.forward(Tensor(np.zeros((1, 30, 32, 3))))
     with pytest.raises(ValueError):
         m.forward(Tensor(np.zeros((1, 32, 32, 4))))
+    # a 64 px image is rejected before the patch embed runs, naming the model's size
+    with pytest.raises(ValueError, match="image_size 32"):
+        m.forward(Tensor(np.zeros((1, 64, 64, 3))))
 
 
 @pytest.mark.parametrize("make, match", [

@@ -299,6 +299,7 @@ def test_oracle_matches_on_varied_shapes_and_seeds():
         ((7, 7), (3, 3), 7, 14),
         ((10, 12), (0, 0), 2, 6),
         ((9, 16), (3, 3), 3, 3),
+        ((12, 12), (3, 3), 2, 4),  # ragged, yet each axis's partial bands share a window
     ]
     for seed, (image, offset, K, C) in enumerate(cases, start=20):
         rng = np.random.default_rng(seed)
@@ -386,7 +387,8 @@ def test_window_sgu_gradcheck_all_parameters():
 
 
 def test_window_sgu_gradcheck_shifted_ragged_map():
-    # 6x8 map, 2x3 windows shifted by (1, 1): padding on all four sides
+    # 6x8 map, 2x3 windows shifted by (1, 1): on each axis the two partial
+    # bands share one wrapped window, and the columns' holds a padded position
     rng = np.random.default_rng(13)
     p = random_params(rng, (2, 3), heads=2)
     x = Tensor(rng.standard_normal((2, 6, 8, 8)), requires_grad=True)
@@ -401,8 +403,9 @@ def test_window_sgu_gradcheck_shifted_ragged_map():
     assert worst < 1e-4
 
 
-# The padded-on-all-sides grid, and a rolled one whose four window types are
-# one window each.
+# A ragged grid whose partial bands share a wrapped window on both axes, one
+# with a padded position on the column axis, and a rolled one whose four
+# window types are one window each.
 GRADCHECK_GRIDS = [WindowGrid((6, 8), (2, 3), offset=(1, 1)),
                    WindowGrid((6, 8), (3, 4), offset=(1, 2))]
 
@@ -410,7 +413,7 @@ GRADCHECK_GRIDS = [WindowGrid((6, 8), (2, 3), offset=(1, 1)),
 @pytest.mark.parametrize("case", ["no_rel_bias", "input_without_grad", "frozen_params",
                                   "frozen_weight_trainable_table"])
 def test_window_sgu_gradcheck_branches_shifted_ragged_map(case):
-    # each branch of the gating node's vjp, on the zero-padding and the rolled path
+    # each branch of the gating node's vjp, on a ragged and a rolled grid
     for seed, grid in enumerate(GRADCHECK_GRIDS, start=15):
         rng = np.random.default_rng(seed)
         p = random_params(rng, grid.window, heads=2, rel=case != "no_rel_bias")
@@ -453,7 +456,7 @@ def test_no_grad_window_sgu_holds_two_gate_halves_beside_its_output():
     # The ragged 10x13 map is zero-padded to 12x16, so the bound counts padded
     # gate halves.
     grid = WindowGrid((10, 13), (4, 4), offset=(2, 2))
-    (nh, nw), (h, w) = grid.counts, grid.window
+    (nh, nw), (h, w) = map(len, grid.bands), grid.window
     peak, out = _no_grad_peak(grid, 31)
     padded = 2 * nh * h * nw * w * 128 * 8
     assert peak <= out + 2 * padded, (peak, padded)

@@ -59,6 +59,12 @@ def test_lr_schedule_linear_warmup():
     assert lr_at(25, cfg) == pytest.approx(0.005)
 
 
+def test_lr_schedule_all_warmup():
+    # warmup_steps == total_steps: every step, the last included, is on the ramp
+    cfg = TrainConfig(lr=0.01, warmup_steps=8, total_steps=8)
+    assert [lr_at(t, cfg) for t in range(9)] == [0.01 * t / 8 for t in range(9)]
+
+
 def test_lr_out_of_range():
     cfg = TrainConfig(total_steps=10, warmup_steps=0)
     with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gswin import windows
+from gswin.model import PRESETS, ModelConfig
 from gswin.windows import WindowGrid, shift_offset, window_partition, window_reverse
 
 
@@ -58,6 +59,10 @@ def _zero_padded(ids, grid):
     return padded.reshape(padded.shape[0] // h, h, padded.shape[1] // w, w)
 
 
+def _windows_mixed(grid):
+    return sum(a * b for a, b in (t.counts for t in grid.types))
+
+
 def _real_windows(grid):
     """(extent, first in-window position) of the tokens of each band pair,
     in map order, read from the grid's window batches and masks."""
@@ -75,7 +80,7 @@ def _real_windows(grid):
 
 def test_grid_unshifted_single_group():
     grid = WindowGrid((14, 14), (7, 7))
-    assert grid.counts == (2, 2)
+    assert [t.counts for t in grid.types] == [(2, 2)]
     assert grid.bands == ((7, 7), (7, 7))
 
 
@@ -84,7 +89,7 @@ def test_grid_shifted_windows_hold_the_partial_bands():
     # where their tokens start inside the window (the weight offsets), which
     # is where zero padding puts them
     grid = WindowGrid((14, 14), (7, 7), offset=(3, 3))
-    assert grid.counts == (3, 3)
+    assert [t.counts for t in grid.types] == [(1, 1)] * 4
     assert grid.bands == ((3, 7, 4), (3, 7, 4))
     real = _real_windows(grid)
     assert [shape for shape, _ in real] == [
@@ -176,7 +181,8 @@ def test_partition_windows_carry_correct_tokens():
                                                    ((8, 12), (4, 4), (0, 2)),
                                                    ((8, 8), (4, 4), (0, 0)),
                                                    ((9, 16), (7, 7), (3, 3)),
-                                                   ((6, 8), (2, 3), (1, 1))])
+                                                   ((6, 8), (2, 3), (1, 1)),
+                                                   ((12, 12), (7, 7), (3, 3))])
 def test_window_types_place_every_token_where_padding_does(image, window, offset):
     # Every token sits in one window of one type, at the in-window position the
     # zero-padded tiling gives it; a type's mask joins two positions exactly
@@ -198,10 +204,7 @@ def test_window_types_place_every_token_where_padding_does(image, window, offset
             assert np.array_equal(t.mask[np.ix_(real, real)], same)
             seen += list(win[real])
     assert sorted(seen) == list(ids.reshape(-1))
-    if grid.rolled:
-        assert sum(a * b for a, b in (t.counts for t in grid.types)) == (H // h) * (W // w)
-    else:
-        assert len(grid.types) == 1 and grid.types[0].counts == padded.shape[::2]
+    assert _windows_mixed(grid) == -(-H // h) * -(-W // w)
 
 
 @st.composite
@@ -226,6 +229,36 @@ def test_partition_reverse_is_exact_on_random_grids(grid, B, C):
     for t, batch in zip(grid.types, batches):
         assert batch.shape == (T, B, *t.counts, C)
     assert np.array_equal(window_reverse(batches, grid), x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grids())
+def test_every_grid_mixes_the_unshifted_window_count(grid):
+    # a shifted layer mixes as many windows as the unshifted one; a grid whose
+    # partial bands share no window is one batch of the zero-padded tiling
+    (H, W), (h, w) = grid.image, grid.window
+    assert _windows_mixed(grid) == -(-H // h) * -(-W // w)
+    if all(t.mask.all() for t in grid.types):
+        ids = np.arange(1, H * W + 1, dtype=np.float64).reshape(H, W)
+        (batch,) = window_partition(ids.reshape(1, H, W, 1), grid)
+        padded = _zero_padded(ids, grid)
+        assert np.array_equal(batch.reshape(h, w, *padded.shape[::2]),
+                              padded.transpose(1, 3, 0, 2))
+
+
+@pytest.mark.parametrize("config", [
+    ModelConfig(base_channels=16, depths=(2, 2, 2, 2), heads=4, window=(4, 4),
+                num_classes=10, image_size=32),  # the criterion-7 smoke model
+    PRESETS["gswin-t"], PRESETS["gswin-vt"]])
+def test_whole_window_maps_mix_the_interior_and_the_wrapped_windows(config):
+    # per shifted axis: the whole windows but one, then the wrapped one
+    for s in range(4):
+        for grid in config.block_grids(s):
+            assert grid.rolled
+            groups = [[e // win] if not o else [c for c in (e // win - 1, 1) if c]
+                      for e, win, o in zip(grid.image, grid.window, grid.offset)]
+            assert [t.counts for t in grid.types] == [(a, b) for a in groups[0]
+                                                      for b in groups[1]]
 
 
 def test_windows_does_not_import_the_engine():

@@ -15,12 +15,15 @@ The object holds, in order:
   block's ``effective_mixing_weight`` of one training step (perturbed gates,
   drop-path 0.1) of the smoke model, a ragged 64 px model without the
   relative-offset table, and ``gswin-vt`` at 224 px, so that the gating vjp
-  runs on rolled and on zero-padded grids;
+  runs on rolled grids, on ragged grids whose partial bands share a wrapped
+  window and on zero-padded grids;
 - ``eval.<model>.logits``: one no-grad forward of one image (perturbed gates)
   through the smoke model, the ragged 64 px model and ``gswin-t`` at 224 px.
   The smoke model and ``gswin-t`` run the non-recording gating unit on rolled
-  grids only (every map is a whole number of windows), the ragged model on
-  zero-padded grids in its first three stages and a rolled one in its last.
+  grids only (every map is a whole number of windows). The ragged model runs
+  it on zero-padded grids, on ragged grids whose partial bands share a
+  wrapped window (the shifted layers of stages 1 and 2) and on a rolled one
+  in its last stage.
   The first two run GELU on maps smaller than one of its blocks, the third on
   many blocks;
 - ``gelu.<range>.*``: GELU's no-grad output, and its recorded output and
