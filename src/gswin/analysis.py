@@ -20,6 +20,7 @@ the unshifted layer's and lies between the two counts.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -77,16 +78,6 @@ def count_params(config: ModelConfig) -> CostReport:
     return CostReport(per_module=per, total_params=sum(per.values()))
 
 
-def enumerate_params(model: GswinModel) -> dict[str, int]:
-    """Instantiated-model scalar counts grouped like count_params' breakdown."""
-    per: dict[str, int] = {}
-    for p in model.parameters():
-        parts = p.name.split(".")
-        key = ".".join(parts[:2]) if parts[0] in ("stages", "merges") else parts[0]
-        per[key] = per.get(key, 0) + p.size
-    return per
-
-
 def _sgu_window_sums(grid: WindowGrid, strategy: str) -> tuple[int, int]:
     """(sum of squared window token counts, sum of window token counts).
 
@@ -96,9 +87,12 @@ def _sgu_window_sums(grid: WindowGrid, strategy: str) -> tuple[int, int]:
     token sum is H * W.
     """
     if strategy == "zero-padding":
-        windows, T = len(grid.bands[0]) * len(grid.bands[1]), grid.window[0] * grid.window[1]
+        windows = math.prod(bool(origin) + full + bool(tail)
+                            for origin, full, tail in grid.bands)
+        T = grid.window[0] * grid.window[1]
         return windows * T * T, windows * T
-    rows, cols = (sum(e * e for e in bands) for bands in grid.bands)
+    rows, cols = (origin * origin + full * w * w + tail * tail
+                  for (origin, full, tail), w in zip(grid.bands, grid.window))
     return rows * cols, grid.image[0] * grid.image[1]
 
 
@@ -220,8 +214,3 @@ def export_weight_maps(model: GswinModel, stage: int, layer: int, head: int,
         f.write(pixels.tobytes())
     return csv_path, pgm_path
 
-
-def read_weight_csv(path: str | Path) -> np.ndarray:
-    with open(path, newline="") as f:
-        rows = [[float(v) for v in row] for row in csv.reader(f)]
-    return np.array(rows)

@@ -62,14 +62,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("GSWIN_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"GSWIN_SEED must be an integer, got {raw!r}") from None
+def _seed(flag: int | None = None) -> int:
+    """The ``--seed`` flag, else the GSWIN_SEED environment variable, else 0;
+    anything but a non-negative integer raises ``ValueError`` naming its source."""
+    source, raw = (("--seed", str(flag)) if flag is not None
+                   else ("GSWIN_SEED", os.environ.get("GSWIN_SEED", "0")))
+    if not raw.isdecimal():
+        raise ValueError(f"{source} must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 def _emit(payload: dict, as_json: bool) -> None:
@@ -120,7 +120,7 @@ def _cmd_flops(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args.seed)
     try:
         results = SCOPES[args.scope](seed)
     except AssertionError as exc:
@@ -149,7 +149,7 @@ def _equiv_case(rng: np.random.Generator, image: tuple[int, int], window: tuple[
 
 
 def _cmd_equiv(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args.seed)
     if args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     window = (7, 7)
@@ -193,13 +193,15 @@ def _cmd_train(args) -> int:
         raise ValueError(f"unknown train config keys: {sorted(unknown)}")
     model_config = model_config_from_mapping(
         {k: v for k, v in mapping.items() if k in MODEL_KEYS})
-    train_config = TrainConfig(**{"seed": _default_seed(),
-                                  **typed_fields(TrainConfig, mapping)})
+    train_config = TrainConfig(**{"seed": _seed(), **typed_fields(TrainConfig, mapping)})
 
     kinds = get_type_hints(SyntheticTask.__init__)
+    task_args = {arg: typed_value(key, kinds[arg], mapping[key])
+                 for key, arg in _TASK_KEYS.items() if key in mapping}
+    if task_args.get("seed", 0) < 0:
+        raise ValueError(f"task_seed must be >= 0, got {task_args['seed']}")
     task = SyntheticTask(classes=model_config.num_classes, image_size=model_config.image_size,
-                         **{arg: typed_value(key, kinds[arg], mapping[key])
-                            for key, arg in _TASK_KEYS.items() if key in mapping})
+                         **task_args)
 
     model = GswinModel(model_config, seed=train_config.seed)
     if not args.json:
@@ -317,13 +319,10 @@ def run(argv: Sequence[str]) -> int:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except (ValueError, KeyError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # Python's own MemoryError carries no message, so name the exception then.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_VALIDATION
 
 
 def entry() -> None:
     sys.exit(run(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    entry()

@@ -234,17 +234,14 @@ class GswinModel:
         self.head_b = Parameter(np.zeros(config.num_classes), "head.fc.b")
         params += [self.head_ng, self.head_nb, self.head_w, self.head_b]
 
-        self._params: dict[str, Parameter] = {}
-        for p in params:
-            if p.name in self._params:
-                raise AssertionError(f"duplicate parameter name {p.name}")
-            self._params[p.name] = p
+        names = [p.name for p in params]
+        if len(set(names)) != len(names):
+            raise AssertionError("duplicate parameter names "
+                                 f"{sorted({n for n in names if names.count(n) > 1})}")
+        self._params = params
 
     def parameters(self) -> list[Parameter]:
-        return list(self._params.values())
-
-    def param(self, name: str) -> Parameter:
-        return self._params[name]
+        return list(self._params)
 
     def num_params(self) -> int:
         return sum(p.size for p in self.parameters())

@@ -59,14 +59,18 @@ class no_grad:
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce ``grad`` back to ``shape`` by summing broadcast axes."""
+    """Sum ``grad`` over the leading axes that ``shape``, a trailing suffix of
+    ``grad.shape``, lacks; equal shapes give ``grad`` itself back, uncopied."""
     extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
+    return grad.sum(axis=tuple(range(extra))) if extra else grad
+
+
+def _check_broadcast(out_shape: tuple[int, ...], *operands: "Tensor") -> None:
+    """Raise unless each operand that needs a gradient broadcasts as :func:`_unbroadcast` undoes."""
+    for t in operands:
+        if _grad_enabled and t.requires_grad and out_shape[len(out_shape) - t.ndim:] != t.shape:
+            raise ValueError(f"operand of shape {t.shape} needs a gradient but broadcasts "
+                             f"to {out_shape} along a size-1 axis")
 
 
 class _Node:
@@ -108,10 +112,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def __repr__(self) -> str:
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}{flag})"
-
     # -- graph plumbing -----------------------------------------------------
 
     @property
@@ -143,6 +143,7 @@ class Tensor:
         other = other if isinstance(other, Tensor) else Tensor(other)
         a_shape, b_shape = self.shape, other.shape
         out_data = self.data + other.data
+        _check_broadcast(out_data.shape, self, other)
 
         def vjp(g):
             return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
@@ -153,6 +154,7 @@ class Tensor:
         other = other if isinstance(other, Tensor) else Tensor(other)
         a_shape, b_shape = self.shape, other.shape
         out_data = self.data * other.data
+        _check_broadcast(out_data.shape, self, other)
         # Each gradient reads the other operand: keep an operand only when the
         # other one needs its gradient.
         a_data = self.data if other.requires_grad else None
@@ -221,9 +223,6 @@ class Parameter(Tensor):
     def __init__(self, data: Any, name: str):
         super().__init__(data, requires_grad=True)
         self.name = name
-
-    def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.shape})"
 
 
 # -- free functions ----------------------------------------------------------
@@ -374,9 +373,7 @@ def backward(loss: Tensor) -> None:
     root = loss if loss._node is None else loss._node
     flowing: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     for item in reversed(_topo_order(root)):
-        g = flowing.pop(id(item), None)
-        if g is None:
-            continue
+        g = flowing.pop(id(item))
         if isinstance(item, Tensor):
             if item.requires_grad:
                 item.grad = g.copy() if item.grad is None else item.grad + g

@@ -48,8 +48,8 @@ class WindowType(NamedTuple):
     mask: np.ndarray
 
 
-def _axis(extent: int, window: int, origin: int) -> tuple[tuple[int, ...], list]:
-    """One axis of a tiling: its band extents and its window groups.
+def _axis(extent: int, window: int, origin: int) -> tuple[tuple[int, int, int], list]:
+    """One axis of a tiling: its bands ``(origin, full, tail)`` and its window groups.
 
     Raises ``ValueError`` unless the window fits the axis and the origin lies
     in it. A group is (window count, pieces, band split); a split of 0 leaves
@@ -70,12 +70,11 @@ def _axis(extent: int, window: int, origin: int) -> tuple[tuple[int, ...], list]
     body = Piece(slice(first, first + full), slice(0, window),
                  slice(origin, origin + full * window))
     end = Piece(slice(first + full, first + full + 1), slice(0, tail), slice(extent - tail, extent))
-    bands = tuple(e for e in (origin, *[window] * full, tail) if e)
     if 0 < tail <= lead:
         shared = [(full, (body._replace(win=slice(0, full)),), 0)] * bool(full)
-        return bands, shared + [(1, (end._replace(win=slice(0, 1)), head), lead)]
+        return (origin, full, tail), shared + [(1, (end._replace(win=slice(0, 1)), head), lead)]
     padded = (head,) * bool(origin) + (body,) * bool(full) + (end,) * bool(tail)
-    return bands, [(len(bands), padded, 0)]
+    return (origin, full, tail), [(bool(origin) + full + bool(tail), padded, 0)]
 
 
 def _band_mask(window: tuple[int, int], splits: tuple[int, int]) -> np.ndarray:
@@ -97,9 +96,10 @@ class WindowGrid:
     The first whole window starts at ``offset`` (oy, ox), so along each axis
     a nonzero origin leaves a leading partial band before it.
 
-    bands:  per axis, the token extents of the bands the tiling cuts the
-            axis into: a leading partial band when the origin is nonzero,
-            the whole windows, and a trailing remainder.
+    bands:  per axis, the bands the tiling cuts the axis into, as
+            ``(origin, full, tail)``: the tokens of the leading partial band,
+            the count of whole windows and the tokens of the trailing
+            partial band. A partial band of 0 tokens is no band.
     rolled: H and W are whole multiples of h and w, so no window holds
             padding and :func:`gather` need not zero its batch.
     types:  the :class:`WindowType` batches the gating unit mixes, one per
@@ -122,9 +122,6 @@ class WindowGrid:
         self.types = tuple(
             WindowType((nr, nc), tuple(product(pr, pc)), _band_mask(self.window, (sr, sc)))
             for (nr, pr, sr), (nc, pc, sc) in product(*groups))
-
-    def __repr__(self) -> str:
-        return f"WindowGrid(image={self.image}, window={self.window}, offset={self.offset})"
 
 
 def _windowed(a: np.ndarray, rows: Piece, cols: Piece, heads: int) -> np.ndarray:
@@ -180,6 +177,7 @@ def window_reverse(batches: list[np.ndarray], grid: WindowGrid) -> np.ndarray:
     out = np.empty((B, *grid.image, C), batches[0].dtype)
     for batch, t in zip(batches, grid.types):
         if batch.shape != (T, B, *t.counts, C):
-            raise ValueError(f"batch shape {batch.shape} does not match grid {grid}")
+            raise ValueError(f"batch shape {batch.shape} does not match grid type "
+                             f"{t.counts} of {grid.window} windows")
         scatter(batch[None], t, grid, out)
     return out

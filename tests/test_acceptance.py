@@ -12,7 +12,7 @@ from time import perf_counter
 
 import numpy as np
 
-from gswin.analysis import count_flops, count_params, enumerate_params
+from gswin.analysis import count_flops, count_params
 from gswin.checkpoint import model_config_from_mapping, parse_config_file
 from gswin.gradcheck import GRADCHECK_CONFIG, model_gradcheck, op_gradcheck_suite
 from gswin.model import PRESETS, GswinModel, ModelConfig
@@ -21,6 +21,7 @@ from gswin.sgu import (init_sgu_params, materialize_relative_bias, multi_head_wi
 from gswin.tensor import Tensor, backward
 from gswin.train import SyntheticTask, TrainConfig, cross_entropy, train
 from gswin.windows import WindowGrid, window_partition, window_reverse
+from helpers import enumerate_params, param
 
 PARAM_TARGETS = {"gswin-vt": 16e6, "gswin-t": 22e6, "gswin-s": 40e6}
 FLOP_TARGETS = [("gswin-t", "padding-free", 3.6e9),
@@ -346,7 +347,7 @@ def test_criterion_8_ablations_via_config(tmp_path):
                     else "stages.1.blocks.0.sgu.w_win"]
             for name in spot:
                 problems += [f"{tag}: {msg}"
-                             for msg in _fd_spot(loss, model, model.param(name), rng)]
+                             for msg in _fd_spot(loss, model, param(model, name), rng)]
 
             # short seeded reruns must agree bit for bit and stay finite
             curves = []

@@ -11,14 +11,13 @@ from gswin.analysis import (
     count_flops,
     count_params,
     effective_mixing_weight,
-    enumerate_params,
     export_weight_maps,
     format_count,
-    read_weight_csv,
     weight_tile_grid,
 )
 from gswin.model import GswinModel, ModelConfig, PRESETS
 from gswin.windows import WindowGrid
+from helpers import enumerate_params, read_weight_csv
 
 PARAM_TARGETS = {"gswin-vt": 16e6, "gswin-t": 22e6, "gswin-s": 40e6}
 FLOP_TARGETS = [
@@ -142,9 +141,10 @@ def test_model_and_flop_count_share_one_tiling_rule(monkeypatch):
 
 
 @pytest.mark.parametrize("depths", [(1, 1, 1, 1), (2, 2, 2, 2)])
-def test_zero_padding_counts_the_windows_the_model_builds(depths):
+def test_zero_padding_charges_a_padded_window_per_band_pair(depths):
     # 7x7 windows at 64 px: the unshifted 16x16 and 8x8 maps of stages 0 and 1
-    # are padded too. Each built block's grid gives the real tokens per window.
+    # are padded too. Each block's grid is padded by the oracle's rule, one
+    # window per pair of bands, which is not how a shifted layer mixes.
     cfg = small_cfg(depths=depths, window=(7, 7), image_size=64)
     extra = 0
     for blk in (b for blocks in GswinModel(cfg).stages for b in blocks):

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from gswin import gradcheck
-from gswin.analysis import count_flops, count_params, read_weight_csv
+from gswin.analysis import count_flops, count_params
 from gswin.checkpoint import load_checkpoint, save_checkpoint
 from gswin.cli import run
 from gswin.model import PRESETS, GswinModel, ModelConfig
+from helpers import read_weight_csv
 
 
 def _lines(capsys) -> dict[str, str]:
@@ -202,6 +203,29 @@ def test_equiv_rejects_bad_env_seed(monkeypatch):
     assert run(["equiv", "--seeds", "1"]) == 2
 
 
+@pytest.mark.parametrize("argv, env, source", [
+    (["gradcheck", "--seed", "-1"], None, "--seed"),
+    (["equiv", "--seeds", "1", "--seed", "-1"], None, "--seed"),
+    (["equiv", "--seeds", "1"], "-3", "GSWIN_SEED"),
+])
+def test_negative_seed_names_its_flag_or_variable(monkeypatch, capsys, argv, env, source):
+    if env is not None:
+        monkeypatch.setenv("GSWIN_SEED", env)
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {source} must be a non-negative integer")
+
+
+def test_out_of_memory_without_a_message_is_named(monkeypatch, capsys):
+    import gswin.cli as cli
+
+    def exhausted(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_cmd_presets", exhausted)
+    assert run(["presets"]) == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
+
+
 def test_equiv_rejects_nonpositive_seeds():
     assert run(["equiv", "--seeds", "0"]) == 2
 
@@ -302,6 +326,20 @@ def test_train_bad_rate_is_validation_error(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert key in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("line, env, source", [("seed = -1\n", None, "seed"),
+                                               ("task_seed = -1\n", None, "task_seed"),
+                                               ("", "-3", "GSWIN_SEED")])
+def test_train_negative_seed_names_its_key_or_variable(tmp_path, monkeypatch, capsys,
+                                                       line, env, source):
+    if env is not None:
+        monkeypatch.setenv("GSWIN_SEED", env)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TRAIN_CFG.replace("seed = 3\n", line))
+    assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {source} must be")
+    assert not (tmp_path / "r").exists()
 
 
 def test_train_negative_warmup_is_validation_error(tmp_path, capsys):

@@ -5,6 +5,8 @@ other exception escaping these readers would end a command in a traceback.
 """
 import re
 import struct
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from gswin.checkpoint import (MAGIC, MODEL_KEYS, VERSION, model_config_from_mapping,
                               parse_config_text, read_checkpoint, save_checkpoint)
+from gswin.cli import run
 from gswin.model import GswinModel, ModelConfig
 
 MICRO = ModelConfig(base_channels=4, depths=(1, 1, 1, 1), heads=2, window=(4, 4),
@@ -77,6 +80,28 @@ def test_record_shape_that_overflows_or_numpy_refuses_names_the_path(tmp_path, v
     path.write_bytes(blob)
     with pytest.raises(ValueError, match="^" + re.escape(f"{path}: ")):
         read_checkpoint(path)
+
+
+def test_edited_image_size_rebuilds_the_model_in_bounded_memory(tmp_path):
+    # With 1x1 windows no stage window clamps, so the parameter count is the
+    # same at every image size and read_checkpoint's guard passes this header.
+    # Rebuilding the model must hold nothing in proportion to its 2^29-token maps.
+    path = tmp_path / "huge.ckpt"
+    save_checkpoint(path, GswinModel(replace(MICRO, window=(1, 1))))
+    blob = path.read_bytes()
+    (config_len,) = struct.unpack("<I", blob[5:9])
+    config = blob[9:9 + config_len].replace(b"image_size = 32\n", b"image_size = 2147483648\n")
+    path.write_bytes(blob[:5] + struct.pack("<I", len(config)) + config + blob[9 + config_len:])
+    assert read_checkpoint(path)[0].image_size == 2**31
+    tracemalloc.start()
+    try:
+        code = run(["export-weights", "--ckpt", str(path), "--stage", "3", "--layer", "0",
+                    "--head", "1", "--out", str(tmp_path / "maps")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 * 2**20, peak
 
 
 _KEYS = st.one_of(st.sampled_from(sorted(MODEL_KEYS)), st.text(max_size=8))

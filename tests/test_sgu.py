@@ -393,7 +393,7 @@ def test_window_sgu_gradcheck_shifted_ragged_map():
     p = random_params(rng, (2, 3), heads=2)
     x = Tensor(rng.standard_normal((2, 6, 8, 8)), requires_grad=True)
     grid = WindowGrid((6, 8), (2, 3), offset=(1, 1))
-    assert grid.bands == ((1, 2, 2, 1), (1, 3, 3, 1))
+    assert grid.bands == ((1, 2, 1), (1, 2, 1))
     r = Tensor(rng.standard_normal((2, 6, 8, 4)))
     worst = check_gradients(
         lambda: (multi_head_window_sgu(x, p, grid) * r).sum(),
@@ -456,7 +456,7 @@ def test_no_grad_window_sgu_holds_two_gate_halves_beside_its_output():
     # The ragged 10x13 map is zero-padded to 12x16, so the bound counts padded
     # gate halves.
     grid = WindowGrid((10, 13), (4, 4), offset=(2, 2))
-    (nh, nw), (h, w) = map(len, grid.bands), grid.window
+    (nh, nw), (h, w) = (bool(o) + n + bool(t) for o, n, t in grid.bands), grid.window
     peak, out = _no_grad_peak(grid, 31)
     padded = 2 * nh * h * nw * w * 128 * 8
     assert peak <= out + 2 * padded, (peak, padded)

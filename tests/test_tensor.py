@@ -42,8 +42,31 @@ def test_add_broadcast_grad():
 
 def test_mul_broadcast_grad():
     a = randt(2, 3, 4)
-    b = randt(1, 4)
+    b = randt(3, 4)
     check_gradients(lambda: (a * b).sum(), [a, b])
+
+
+def test_size_one_broadcast_of_an_operand_that_needs_a_gradient_raises():
+    # Its gradient would need a sum over the size-1 axis, which the engine does not form.
+    rng = np.random.default_rng(1)
+    a = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    b = Tensor(rng.standard_normal((1, 4)), requires_grad=True)
+    for op in (lambda: a * b, lambda: b * a, lambda: a + b):
+        with pytest.raises(ValueError, match=r"\(1, 4\)"):
+            op()
+    with no_grad():
+        assert (a * b).shape == (2, 3, 4)
+    # A drop-path mask broadcasts along size-1 axes, but needs no gradient.
+    mask = Tensor(np.array([0.0, 2.0]).reshape(2, 1, 1))
+    backward((a * mask).sum())
+    np.testing.assert_array_equal(a.grad, np.broadcast_to(mask.data, a.shape))
+
+
+def test_same_shape_operands_get_the_gradient_itself():
+    a, b = randt(2, 3), randt(2, 3)
+    g = np.ones((2, 3))
+    ga, gb = (a + b)._node.vjp(g)
+    assert ga is g and gb is g
 
 
 def test_matmul_grad():

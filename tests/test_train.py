@@ -26,6 +26,7 @@ from gswin.train import (
     lr_at,
     train,
 )
+from helpers import param
 
 MICRO = ModelConfig(base_channels=8, depths=(1, 1, 1, 1), heads=2, window=(4, 4),
                     num_classes=4, image_size=32)
@@ -306,7 +307,7 @@ def test_train_single_step_moves_gradient_bearing_params(monkeypatch):
     train(model, task, cfg)
     assert len(bearing) == 2 and bearing[-1]
     for name in bearing[-1]:
-        assert (model.param(name).data != before[name]).any(), name
+        assert (param(model, name).data != before[name]).any(), name
 
 
 def test_train_releases_the_last_step_gradients():
@@ -369,7 +370,7 @@ def test_train_frees_each_step_gradients_before_the_next_forward(monkeypatch):
 
 def test_train_aborts_on_divergence():
     model = GswinModel(MICRO, seed=0)
-    model.param("head.fc.w").data[:] = 1e308
+    param(model, "head.fc.w").data[:] = 1e308
     cfg = TrainConfig(lr=1e-3, warmup_steps=0, total_steps=2, batch_size=4,
                       eval_every=2, seed=0)
     # the head's 1e308 weights overflow the logits to +-inf, and their sums give NaN
@@ -386,8 +387,8 @@ def test_train_stops_on_non_finite_gradient_naming_the_first(monkeypatch):
 
     def planted(loss):
         real_backward(loss)
-        model.param(later).grad.flat[0] = np.nan
-        model.param(first).grad.flat[-1] = np.inf
+        param(model, later).grad.flat[0] = np.nan
+        param(model, first).grad.flat[-1] = np.inf
 
     monkeypatch.setattr(gtrain, "backward", planted)
     before = {p.name: p.data.copy() for p in model.parameters()}

@@ -13,8 +13,10 @@ from gswin.windows import WindowGrid, shift_offset, window_partition, window_rev
 
 
 def _row_bands(extent, window, origin):
-    """The grid's bands along rows; the column axis is one token wide."""
-    return WindowGrid((extent, 1), (window, 1), offset=(origin, 0)).bands[0]
+    """The token extents of the grid's bands along rows; the column axis is
+    one token wide."""
+    head, full, tail = WindowGrid((extent, 1), (window, 1), offset=(origin, 0)).bands[0]
+    return tuple(e for e in (head, *[window] * full, tail) if e)
 
 
 def test_axis_runs_uniform():
@@ -81,7 +83,7 @@ def _real_windows(grid):
 def test_grid_unshifted_single_group():
     grid = WindowGrid((14, 14), (7, 7))
     assert [t.counts for t in grid.types] == [(2, 2)]
-    assert grid.bands == ((7, 7), (7, 7))
+    assert grid.bands == ((0, 2, 0), (0, 2, 0))
 
 
 def test_grid_shifted_windows_hold_the_partial_bands():
@@ -90,7 +92,7 @@ def test_grid_shifted_windows_hold_the_partial_bands():
     # is where zero padding puts them
     grid = WindowGrid((14, 14), (7, 7), offset=(3, 3))
     assert [t.counts for t in grid.types] == [(1, 1)] * 4
-    assert grid.bands == ((3, 7, 4), (3, 7, 4))
+    assert grid.bands == ((3, 1, 4), (3, 1, 4))
     real = _real_windows(grid)
     assert [shape for shape, _ in real] == [
         (3, 3), (3, 7), (3, 4),
