@@ -8,20 +8,22 @@ materialization of effective mixing weights are not. Under this convention
 the spatial-mixing cost is independent of the head count (each token-mixing
 product touches every gate channel exactly once regardless of grouping).
 
-Both strategies read a layer's geometry from the ``bands`` of its
-:class:`~gswin.windows.WindowGrid`. "padding-free" charges each window its
-true token count (the paper's count); "zero-padding" charges every band pair
-a whole h x w window, as if each partial band were zero-padded to a window of
-its own. The model mixes ceil(H/h) * ceil(W/w) whole windows on every map,
-shifted or not: a shifted layer's two partial bands share one window on
-each axis where they fit (see :mod:`gswin.windows`), so its mixing work is
-the unshifted layer's and lies between the two counts.
+:func:`module_costs` walks the layer plan once for both counts, pricing each
+stage's two tilings (``ModelConfig.stage_tilings``) from the ``bands`` of
+their :class:`~gswin.windows.WindowGrid`. "padding-free" charges each window
+its true token count (the paper's count); "zero-padding" charges every band
+pair a whole h x w window, as if each partial band were zero-padded to a
+window of its own. The model mixes ceil(H/h) * ceil(W/w) whole windows on
+every map, shifted or not: a shifted layer's two partial bands share one
+window on each axis where they fit (see :mod:`gswin.windows`), so its mixing
+work is the unshifted layer's and lies between the two counts.
 """
 from __future__ import annotations
 
 import csv
 import math
 import os
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -48,36 +50,6 @@ class CostReport:
     convention: str = CONVENTION
 
 
-def _block_params(dim: int, window: tuple[int, int], heads: int, expansion: int,
-                  rel_bias: bool) -> int:
-    h, w = window
-    T = h * w
-    gate = (expansion // 2) * dim
-    n = 2 * dim                                  # pre-norm affine
-    n += dim * expansion * dim + expansion * dim  # input projection
-    n += (T * T + T) * heads                      # mixing weight + spatial bias
-    if rel_bias:
-        n += (2 * h - 1) * (2 * w - 1) * heads
-    n += gate * dim + dim                         # output projection
-    return n
-
-
-def count_params(config: ModelConfig) -> CostReport:
-    """Exact closed-form parameter count, broken down by module."""
-    C = config.base_channels
-    per: dict[str, int] = {"patch_embed": 4 * 4 * 3 * C + C + 2 * C}
-    for s, depth in enumerate(config.depths):
-        dim = config.stage_channels[s]
-        win = config.stage_window(s)
-        per[f"stages.{s}"] = depth * _block_params(dim, win, config.heads,
-                                                   config.expansion, config.rel_bias)
-        if s < 3:
-            per[f"merges.{s}"] = 2 * 4 * dim + 4 * dim * 2 * dim + 2 * dim
-    D = config.stage_channels[-1]
-    per["head"] = 2 * D + D * config.num_classes + config.num_classes
-    return CostReport(per_module=per, total_params=sum(per.values()))
-
-
 def _sgu_window_sums(grid: WindowGrid, strategy: str) -> tuple[int, int]:
     """(sum of squared window token counts, sum of window token counts).
 
@@ -96,38 +68,50 @@ def _sgu_window_sums(grid: WindowGrid, strategy: str) -> tuple[int, int]:
     return rows * cols, grid.image[0] * grid.image[1]
 
 
-def count_flops(config: ModelConfig, resolution: int, strategy: str) -> CostReport:
-    """Forward-pass FLOPs at a square input resolution under one shift strategy."""
+def module_costs(config: ModelConfig,
+                 strategy: str = "padding-free") -> Iterator[tuple[str, int, int]]:
+    """Yield ``(module, parameters, forward FLOPs)`` for the patch embed, each
+    stage, each merge and the head, at the config's ``image_size``.
+
+    A projection's FLOPs per token equal its parameter count, weights plus
+    bias. A stage prices each of its tilings once, times the blocks that run it.
+    """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    if resolution != config.image_size:
-        config = replace(config, image_size=resolution)  # revalidates divisibility
-    params = count_params(config)
-
-    C = config.base_channels
-    LN = FLOPS_PER_LN_ELEMENT
-    res = config.stage_resolutions
-    total = res[0] ** 2 * (48 * C + C + LN * C)  # embed projection + bias + norm
+    LN, C, res = FLOPS_PER_LN_ELEMENT, config.base_channels, config.stage_resolutions
+    embed = 48 * C + C
+    yield "patch_embed", embed + 2 * C, res[0] ** 2 * (embed + LN * C)
     for s, dim in enumerate(config.stage_channels):
-        gate = config.stage_gate_channels[s]
-        hidden = config.expansion * dim
-        N = res[s] ** 2
-        for grid in config.block_grids(s):
+        gate, hidden, N = config.stage_gate_channels[s], config.expansion * dim, res[s] ** 2
+        proj = dim * hidden + hidden + gate * dim + dim
+        tilings = config.stage_tilings(s)
+        h, w = tilings[0][0].window
+        mixing = h * w * (h * w + 1) + config.rel_bias * (2 * h - 1) * (2 * w - 1)
+        flops = config.depths[s] * N * (LN * dim + proj + hidden)  # norm, projections, GELU
+        for grid, blocks in tilings:
             sq, toks = _sgu_window_sums(grid, strategy)
-            total += LN * N * dim                 # pre-norm
-            total += N * dim * hidden + N * hidden  # input projection
-            total += N * hidden                    # GELU
-            total += sq * gate                     # spatial mixing matmuls
-            total += 2 * toks * gate               # spatial bias + gate multiply
-            total += N * gate * dim + N * dim      # output projection
+            flops += blocks * (sq + 2 * toks) * gate  # mixing, spatial bias, gate multiply
+        yield f"stages.{s}", config.depths[s] * (2 * dim + proj + config.heads * mixing), flops
         if s < 3:
-            No = res[s + 1] ** 2
-            total += LN * No * 4 * dim + No * 4 * dim * 2 * dim + No * 2 * dim
+            reduce = 4 * dim * 2 * dim + 2 * dim
+            yield f"merges.{s}", 8 * dim + reduce, res[s + 1] ** 2 * (LN * 4 * dim + reduce)
     D, N = config.stage_channels[-1], res[3] ** 2
-    total += LN * N * D + N * D                    # final norm + average pool
-    total += D * config.num_classes + config.num_classes
-    return CostReport(per_module=params.per_module, total_params=params.total_params,
-                      flops=total, resolution=resolution, strategy=strategy)
+    fc = D * config.num_classes + config.num_classes
+    yield "head", 2 * D + fc, N * (LN * D + D) + fc  # norm, average pool, classifier
+
+
+def count_params(config: ModelConfig) -> CostReport:
+    """Exact closed-form parameter count, broken down by module."""
+    modules, params, _ = zip(*module_costs(config))
+    return CostReport(per_module=dict(zip(modules, params)), total_params=sum(params))
+
+
+def count_flops(config: ModelConfig, resolution: int, strategy: str) -> CostReport:
+    """Forward-pass FLOPs at a square input resolution under one shift strategy."""
+    config = replace(config, image_size=resolution)  # revalidates divisibility
+    modules, params, flops = zip(*module_costs(config, strategy))
+    return CostReport(per_module=dict(zip(modules, params)), total_params=sum(params),
+                      flops=sum(flops), resolution=resolution, strategy=strategy)
 
 
 def format_count(n: int) -> str:

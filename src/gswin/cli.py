@@ -107,7 +107,8 @@ def _cmd_count(args) -> int:
 
 def _cmd_flops(args) -> int:
     config, label = _resolve_model(args)
-    report = count_flops(config, resolution=args.res, strategy=args.strategy)
+    resolution = config.image_size if args.res is None else args.res
+    report = count_flops(config, resolution=resolution, strategy=args.strategy)
     payload = {"model": label,
                "resolution": report.resolution,
                "strategy": report.strategy,
@@ -277,7 +278,7 @@ def build_parser() -> _Parser:
 
     p = add("flops", _cmd_flops, "forward-pass cost")
     add_model_source(p)
-    p.add_argument("--res", type=int, default=224, help="square input resolution")
+    p.add_argument("--res", type=int, help="square input resolution (default: image_size)")
     p.add_argument("--strategy", choices=STRATEGIES, default="padding-free")
 
     p = add("gradcheck", _cmd_gradcheck, "finite-difference verification")

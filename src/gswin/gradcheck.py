@@ -6,9 +6,12 @@ under its loss). Each takes a seed and returns ``(name, worst relative
 error)`` pairs, or raises AssertionError on a mismatch.
 
 Central differences with step 1e-6 in float64 are bound by the roundoff of
-the loss, not by truncation: an entry whose gradient comes out of
-cancellation can differ from the analytic one by about 1e-5 relative, the
-tolerance for individual operations (1e-4 for a block and a whole model).
+the loss: an entry whose gradient comes out of cancellation can differ from
+the analytic one by about 1e-5 relative, the tolerance for individual
+operations (1e-4 for a block and a whole model). A larger step trades that
+for truncation error: over seeds 0-31 the worst ``layer_norm`` error is
+3.4e-6, 3.5e-7 and 3.5e-6 at steps 1e-6, 1e-5 and 1e-4, the gating one
+1.2e-4, 1.8e-5 and 7e-7, so no one fixed step suits both.
 """
 from __future__ import annotations
 

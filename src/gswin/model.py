@@ -71,15 +71,19 @@ class ModelConfig:
         base = self.image_size // 4
         return tuple(base >> s for s in range(4))
 
-    def stage_window(self, s: int) -> tuple[int, int]:
-        res = self.stage_resolutions[s]
-        return (min(self.window[0], res), min(self.window[1], res))
+    def stage_tilings(self, s: int) -> list[tuple[WindowGrid, int]]:
+        """Stage ``s``'s tilings of its window clamped to the map, each with its
+        count of blocks: the even blocks run the unshifted one, the odd blocks
+        the one shifted by half a window."""
+        res, depth = self.stage_resolutions[s], self.depths[s]
+        win = (min(self.window[0], res), min(self.window[1], res))
+        return [(WindowGrid((res, res), win, shift_offset(win, odd)), blocks)
+                for odd, blocks in ((False, depth - depth // 2), (True, depth // 2)) if blocks]
 
     def block_grids(self, s: int) -> list[WindowGrid]:
-        """Stage ``s``'s tilings, one per block; odd blocks shift by half a window."""
-        res, win = self.stage_resolutions[s], self.stage_window(s)
-        return [WindowGrid((res, res), win, shift_offset(win, i % 2 == 1))
-                for i in range(self.depths[s])]
+        """Stage ``s``'s tiling for each block; the blocks of one parity share it."""
+        tilings = self.stage_tilings(s)
+        return [tilings[i % 2][0] for i in range(self.depths[s])]
 
     def drop_path_schedule(self) -> list[float]:
         """Per-block drop probabilities, 0 rising linearly to the configured max."""

@@ -160,8 +160,11 @@ class SyntheticTask:
     def __init__(self, classes: int = 10, image_size: int = 32, train_size: int = 512,
                  eval_size: int = 256, noise: float = 0.25, frequency: float = 4.0,
                  seed: int = 0):
-        if train_size < 1 or eval_size < 1 or classes < 2:
-            raise ValueError("need at least one sample per split and two classes")
+        for key, value in (("train_size", train_size), ("eval_size", eval_size)):
+            if value < 1:
+                raise ValueError(f"{key} must be >= 1, got {value}")
+        if classes < 2:
+            raise ValueError(f"need at least two classes, got {classes}")
         for key, value in (("noise", noise), ("frequency", frequency)):
             if not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value}")

@@ -15,6 +15,7 @@ for every type of a grid. All of them work on numpy arrays.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
 from typing import NamedTuple
 
@@ -108,7 +109,7 @@ class WindowGrid:
             has any) and the wrapped window, masked to its two bands; any
             other axis has one group of all its windows. A whole-window map
             thus mixes the interior windows, the wrapped last row, the
-            wrapped last column and the corner.
+            wrapped last column and the corner. Built on first read.
     """
 
     def __init__(self, image: tuple[int, int], window: tuple[int, int],
@@ -116,12 +117,15 @@ class WindowGrid:
         self.image = (int(image[0]), int(image[1]))
         self.window = (int(window[0]), int(window[1]))
         self.offset = (int(offset[0]), int(offset[1]))
-        self.bands, groups = zip(
+        self.bands, self._groups = zip(
             *(_axis(*axis) for axis in zip(self.image, self.window, self.offset)))
         self.rolled = all(e % win == 0 for e, win in zip(self.image, self.window))
-        self.types = tuple(
+
+    @cached_property
+    def types(self) -> tuple[WindowType, ...]:
+        return tuple(
             WindowType((nr, nc), tuple(product(pr, pc)), _band_mask(self.window, (sr, sc)))
-            for (nr, pr, sr), (nc, pc, sc) in product(*groups))
+            for (nr, pr, sr), (nc, pc, sc) in product(*self._groups))
 
 
 def _windowed(a: np.ndarray, rows: Piece, cols: Piece, heads: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 """Cost accounting: published-total reproduction, enumeration cross-checks, export."""
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -123,21 +124,42 @@ def test_strategies_agree_without_shifted_layers():
 
 
 def test_model_and_flop_count_share_one_tiling_rule(monkeypatch):
-    # With every block's grid unshifted, the built model and both FLOP counts
-    # must follow; a tiling rule of their own in either would not.
-    cfg = small_cfg(window=(7, 7), image_size=224)
+    # With every stage's shifted 14x14 tilings swapped for unshifted 7x7 ones,
+    # the built model and both counts must follow; a tiling rule of their own
+    # in any of them would not.
+    cfg = small_cfg(window=(14, 14), image_size=224)
 
     def padding_tax():
         return (count_flops(cfg, 224, "zero-padding").flops
                 - count_flops(cfg, 224, "padding-free").flops)
 
     assert padding_tax() > 0
-    unshifted = {s: [WindowGrid(g.image, g.window) for g in cfg.block_grids(s)] for s in range(4)}
-    monkeypatch.setattr(ModelConfig, "block_grids", lambda self, s: unshifted[s])
+    swapped = {s: [(WindowGrid(grid.image, (7, 7)), blocks) for grid, blocks in
+                   cfg.stage_tilings(s)] for s in range(4)}
+    monkeypatch.setattr(ModelConfig, "stage_tilings", lambda self, s: swapped[s])
     model = GswinModel(cfg)
-    assert all(blk.grid is grid for s, blocks in enumerate(model.stages)
-               for blk, grid in zip(blocks, unshifted[s], strict=True))
+    assert all(blk.grid is swapped[s][i % 2][0] for s, blocks in enumerate(model.stages)
+               for i, blk in enumerate(blocks))
+    assert count_params(cfg).per_module == enumerate_params(model)
     assert padding_tax() == 0
+
+
+def test_counts_build_two_grids_per_stage_and_no_window_mask(monkeypatch):
+    # 128x128 windows at 1024 px: one (T, T) mask of stage 0 alone is 256 MiB
+    cfg = small_cfg(depths=(64, 2, 9, 1), window=(128, 128), image_size=1024)
+    built = []
+    init = WindowGrid.__init__
+    monkeypatch.setattr(WindowGrid, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    tracemalloc.start()
+    try:
+        for strategy in STRATEGIES:
+            count_flops(cfg, 1024, strategy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(built) == 2 * 7  # per call: two tilings in each stage, one in the last
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("depths", [(1, 1, 1, 1), (2, 2, 2, 2)])

@@ -12,6 +12,7 @@ from gswin.analysis import count_flops, count_params
 from gswin.checkpoint import load_checkpoint, save_checkpoint
 from gswin.cli import run
 from gswin.model import PRESETS, GswinModel, ModelConfig
+from gswin.windows import WindowGrid
 from helpers import read_weight_csv
 
 
@@ -135,6 +136,19 @@ def test_flops_bad_strategy_is_usage_error():
 def test_flops_indivisible_resolution_is_validation_error():
     assert run(["flops", "--model", "gswin-t", "--res", "100",
                 "--strategy", "padding-free"]) == 2
+
+
+def test_flops_of_a_config_file_defaults_to_its_image_size(tmp_path, capsys):
+    # the criterion-7 smoke model: at 224 px its stage windows would clamp less
+    cfg = tmp_path / "smoke.cfg"
+    cfg.write_text("base_channels = 16\ndepths = 2,2,2,2\nheads = 4\nwindow = 4\n"
+                   "num_classes = 10\nimage_size = 32\n")
+    assert run(["count", "--config", str(cfg)]) == 0
+    count = _lines(capsys)
+    assert run(["flops", "--config", str(cfg)]) == 0
+    flops = _lines(capsys)
+    assert flops["resolution"] == "32"
+    assert flops["total_params"] == count["total_params"]
 
 
 def test_gradcheck_ops_scope(capsys):
@@ -315,6 +329,14 @@ def test_train_bad_task_value_names_the_key(tmp_path, capsys):
     assert "train_size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["train_size", "eval_size"])
+def test_train_empty_split_names_its_key(tmp_path, capsys, key):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(re.sub(rf"{key} = \d+", f"{key} = 0", TRAIN_CFG))
+    assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} must be >= 1, got 0")
+
+
 @pytest.mark.parametrize("key, value", [("lr", "nan"), ("weight_decay", "nan"),
                                         ("label_smoothing", "inf"), ("label_smoothing", "1.5"),
                                         ("noise", "nan"), ("frequency", "inf")])
@@ -436,8 +458,8 @@ def _with_header(blob: bytes, config: bytes, config_len: int | None = None) -> b
 
 
 @pytest.mark.parametrize("case", ["non-integer", "unknown-key", "length-past-end",
-                                  "non-utf8", "version-1", "wider-than-arrays"])
-def test_hostile_checkpoint_header_is_validation_error(tmp_path, capsys, case):
+                                  "non-utf8", "version-1", "wider-than-arrays", "deep"])
+def test_hostile_checkpoint_header_is_validation_error(tmp_path, capsys, monkeypatch, case):
     model = GswinModel(ModelConfig(base_channels=8, depths=(1, 1, 1, 1), heads=2,
                                    window=(4, 4), num_classes=4, image_size=32), seed=0)
     good = tmp_path / "good.ckpt"
@@ -457,12 +479,21 @@ def test_hostile_checkpoint_header_is_validation_error(tmp_path, capsys, case):
         "wider-than-arrays": (_with_header(blob, config.replace(b"base_channels = 8",
                                                                 b"base_channels = 4096")),
                               "config describes"),
+        # priced per stage, so reading it builds no grid per block
+        "deep": (_with_header(blob, config.replace(b"depths = 1,1,1,1",
+                                                   b"depths = 2147483647,1,1,1")),
+                 "config describes"),
     }[case]
     path = tmp_path / "bad.ckpt"
     path.write_bytes(bad)
+    built = []
+    init = WindowGrid.__init__
+    monkeypatch.setattr(WindowGrid, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
     with pytest.raises(ValueError, match=re.escape(str(path))) as info:
         load_checkpoint(path)
     assert says in str(info.value)
+    assert len(built) <= 2 * 4
     assert run(["export-weights", "--ckpt", str(path),
                 "--stage", "0", "--layer", "0", "--head", "0"]) == 2
     err = capsys.readouterr().err

@@ -61,14 +61,22 @@ def test_config_stage_arithmetic():
 
 
 def test_config_window_clamped_to_map():
-    assert TINY.stage_window(0) == (4, 4)
-    assert TINY.stage_window(2) == (2, 2)
-    assert TINY.stage_window(3) == (1, 1)
     grids = [TINY.block_grids(s) for s in range(4)]
     assert [[g.window for g in stage] for stage in grids] == [[(4, 4)] * 2, [(4, 4)] * 2,
                                                               [(2, 2)] * 2, [(1, 1)] * 2]
     assert [[g.offset for g in stage] for stage in grids] == [[(0, 0), (2, 2)], [(0, 0), (2, 2)],
                                                               [(0, 0), (1, 1)], [(0, 0)] * 2]
+
+
+def test_blocks_of_one_parity_share_their_stage_tiling():
+    cfg = ModelConfig(base_channels=8, depths=(5, 1, 2, 1), heads=4, window=(4, 4),
+                      num_classes=5, image_size=32)
+    tilings = [cfg.stage_tilings(s) for s in range(4)]
+    assert [[(g.offset, n) for g, n in stage] for stage in tilings] == [
+        [((0, 0), 3), ((2, 2), 2)], [((0, 0), 1)], [((0, 0), 1), ((1, 1), 1)], [((0, 0), 1)]]
+    grids = [blk.grid for blk in GswinModel(cfg).stages[0]]
+    assert [g.offset for g in grids] == [(0, 0), (2, 2)] * 2 + [(0, 0)]
+    assert grids[0] is grids[2] is grids[4] and grids[1] is grids[3]
 
 
 def test_config_validation():

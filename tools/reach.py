@@ -184,8 +184,9 @@ def _cli(tmp: Path) -> None:
     _gswin(["count", "--config", cfg["bad"]], 2)          # validation error
     # numpy refuses the task's 7 TiB image array before touching memory
     _gswin(["train", "--config", cfg["huge"], "--out", str(tmp / "huge")], 2)
-    # The op suite's gating case misses its tolerance at this seed, by roundoff.
-    _gswin(["gradcheck", "--scope", "ops", "--seed", "7"], 3)
+    # A finite-difference gradient of zeros, so every op's check fails.
+    with mock.patch("gswin.gradcheck.numerical_grad", lambda f, wrt: 0.0 * wrt.data):
+        _gswin(["gradcheck", "--scope", "ops"], 3)
     _gswin(["train", "--config", cfg["diverge"], "--out", str(tmp / "diverge")], 3)
     with mock.patch.object(sys, "argv", ["gswin", "presets"]), \
             contextlib.redirect_stdout(io.StringIO()):
